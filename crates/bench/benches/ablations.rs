@@ -1,4 +1,4 @@
-//! Design-choice ablations called out in DESIGN.md:
+//! Design-choice ablations:
 //!
 //! * `ablation_fastpaa` — prefix-sum FastPAA (Algorithm 2) vs naive
 //!   per-window z-normalize + PAA.
@@ -8,6 +8,8 @@
 //! * `ablation_numerosity` — Sequitur on numerosity-reduced vs raw token
 //!   streams (Section 4.2's scalability claim).
 //! * `ablation_combiner` — median vs mean vs min ensemble combination.
+
+#![forbid(unsafe_code)]
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;

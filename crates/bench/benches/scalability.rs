@@ -5,6 +5,8 @@
 //! figure; the `experiments fig8` binary prints the same series with
 //! explicit wall-clock numbers and speedups.
 
+#![forbid(unsafe_code)]
+
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use std::hint::black_box;
 

@@ -5,6 +5,8 @@
 //! regenerating one table/figure cell at reduced but representative scale,
 //! so regressions in any pipeline stage show up in the table they affect.
 
+#![forbid(unsafe_code)]
+
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 

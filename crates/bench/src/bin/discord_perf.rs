@@ -53,6 +53,8 @@
 //! the first CLI argument) so successive PRs accumulate a perf
 //! trajectory. Pass `--quick` for a fast smoke run at reduced sizes.
 
+#![forbid(unsafe_code)]
+
 use std::time::Instant;
 
 use egi_bench::fixture_ecg;
@@ -66,7 +68,7 @@ use egi_discord::stomp::stomp_with_exclusion;
 use egi_discord::streaming::{StreamingDiscordMonitor, DEFAULT_MONITOR_SEED};
 use egi_serve::Fleet;
 use egi_tskit::checkpoint::Checkpoint;
-use egi_tskit::Deadline;
+use egi_tskit::{Deadline, StreamSession};
 
 fn seconds<R>(f: impl FnOnce() -> R) -> (f64, R) {
     let start = Instant::now();

@@ -5,14 +5,14 @@
 //! * `tables` — one benchmark per evaluation table/figure workload
 //!   (Figure 1 grid, Table 4 per-method runs, Figure 9 case study).
 //! * `scalability` — Figure 8: ensemble vs STOMP across series lengths.
-//! * `ablations` — design-choice ablations from DESIGN.md: FastPAA vs
-//!   naive PAA, multi-resolution vs per-resolution SAX, STOMP vs STAMP vs
-//!   brute force, numerosity reduction on/off, median vs mean vs min
-//!   combiner.
+//! * `ablations` — design-choice ablations: FastPAA vs naive PAA,
+//!   multi-resolution vs per-resolution SAX, STOMP vs STAMP vs brute
+//!   force, numerosity reduction on/off, median vs mean vs min combiner.
 //!
 //! This library only hosts shared fixture builders so the three bench
 //! binaries don't repeat corpus construction.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 use egi_tskit::corpus::{CorpusSpec, LabeledSeries};

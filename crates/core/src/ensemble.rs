@@ -21,8 +21,8 @@ use crate::runtime::{compute_member_curves, MemberJob};
 
 /// How the kept, normalized curves are merged into one.
 ///
-/// The paper uses the median; mean and min are provided for the ablation
-/// benches (DESIGN.md "Design notes").
+/// The paper uses the median; mean and min are provided for the
+/// `ablation_combiner` bench in `egi-bench`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Combiner {
     /// Point-wise median (the paper's choice, robust to outlier members).

@@ -8,6 +8,7 @@
 use std::collections::HashMap;
 
 use egi_sax::{NumerosityReduced, SaxWord};
+use egi_tskit::checkpoint::{CheckpointError, FieldReader, FieldWriter};
 
 /// Interns the words of a numerosity-reduced token sequence.
 ///
@@ -70,32 +71,38 @@ impl OnlineInterner {
     pub fn is_empty(&self) -> bool {
         self.table.is_empty()
     }
-}
 
-impl serde::Serialize for OnlineInterner {
-    fn to_value(&self) -> serde::Value {
-        // Emit (word, id) pairs sorted by id so checkpoints are
-        // byte-deterministic; the table itself is order-insensitive.
+    /// Appends the table to a checkpoint payload as a count-prefixed
+    /// list of `(word, id)` pairs sorted by id, so checkpoints are
+    /// byte-deterministic (the table itself is order-insensitive).
+    /// [`OnlineInterner::decode`] is the mirror.
+    pub fn encode(&self, f: &mut FieldWriter) {
         let mut pairs: Vec<(&SaxWord, u32)> = self.table.iter().map(|(w, &id)| (w, id)).collect();
         pairs.sort_unstable_by_key(|&(_, id)| id);
-        pairs.to_value()
+        f.usize(pairs.len());
+        for (word, id) in pairs {
+            word.encode(f);
+            f.u32(id);
+        }
     }
-}
 
-impl serde::Deserialize for OnlineInterner {
-    fn from_value(value: &serde::Value) -> Result<Self, serde::DeserializeError> {
-        let pairs: Vec<(SaxWord, u32)> = serde::Deserialize::from_value(value)?;
-        // Ids are dense and first-seen-ordered by construction; a table
-        // violating that would desynchronize a restored replay.
-        let mut table = HashMap::with_capacity(pairs.len());
-        for (i, (word, id)) in pairs.into_iter().enumerate() {
+    /// Reads a table written by [`OnlineInterner::encode`].
+    pub fn decode(f: &mut FieldReader<'_>) -> Result<Self, CheckpointError> {
+        // Each pair is at least a word length prefix plus an id.
+        let count = f.len_checked(12)?;
+        let mut table = HashMap::with_capacity(count);
+        for i in 0..count {
+            let word = SaxWord::decode(f)?;
+            let id = f.u32()?;
+            // Ids are dense and first-seen-ordered by construction; a
+            // table violating that would desynchronize a restored replay.
             if id as usize != i {
-                return Err(serde::DeserializeError(format!(
+                return Err(CheckpointError::Corrupt(format!(
                     "interner ids not dense: expected {i}, found {id}"
                 )));
             }
             if table.insert(word, id).is_some() {
-                return Err(serde::DeserializeError("duplicate interned word".into()));
+                return Err(CheckpointError::Corrupt("duplicate interned word".into()));
             }
         }
         Ok(OnlineInterner { table })
@@ -136,15 +143,37 @@ mod tests {
         assert_eq!(intern_tokens(&nr), intern_tokens(&nr));
     }
 
+    /// Encodes `(word, id)` pairs exactly as [`OnlineInterner::encode`]
+    /// lays them out, so malformed tables can be written on purpose.
+    fn encode_pairs(pairs: &[(&[u8], u32)]) -> Vec<u8> {
+        let mut f = FieldWriter::new();
+        f.usize(pairs.len());
+        for &(word, id) in pairs {
+            SaxWord(word.to_vec()).encode(&mut f);
+            f.u32(id);
+        }
+        f.into_bytes()
+    }
+
+    fn decode_all(bytes: &[u8]) -> Result<OnlineInterner, CheckpointError> {
+        let mut r = FieldReader::new(bytes);
+        let table = OnlineInterner::decode(&mut r)?;
+        r.finish()?;
+        Ok(table)
+    }
+
     #[test]
-    fn serde_round_trip_preserves_assignments() {
-        use serde::{Deserialize, Serialize};
+    fn codec_round_trip_preserves_assignments() {
         let nr = nr_from(&[b"ab", b"cd", b"ab", b"ee", b"cd"]);
         let mut original = OnlineInterner::new();
         for t in &nr.tokens {
             original.intern(&t.word);
         }
-        let mut restored = OnlineInterner::from_value(&original.to_value()).unwrap();
+        let mut f = FieldWriter::new();
+        original.encode(&mut f);
+        let bytes = f.into_bytes();
+        assert_eq!(bytes, encode_pairs(&[(b"ab", 0), (b"cd", 1), (b"ee", 2)]));
+        let mut restored = decode_all(&bytes).unwrap();
         assert_eq!(restored.len(), original.len());
         // Existing words keep their ids; new words continue the dense
         // numbering exactly where the original would.
@@ -155,10 +184,8 @@ mod tests {
         );
 
         // Non-dense ids and duplicate words are rejected.
-        let sparse = vec![(SaxWord(b"a".to_vec()), 0u32), (SaxWord(b"b".to_vec()), 2)];
-        assert!(OnlineInterner::from_value(&sparse.to_value()).is_err());
-        let dup = vec![(SaxWord(b"a".to_vec()), 0u32), (SaxWord(b"a".to_vec()), 1)];
-        assert!(OnlineInterner::from_value(&dup.to_value()).is_err());
+        assert!(decode_all(&encode_pairs(&[(b"a", 0), (b"b", 2)])).is_err());
+        assert!(decode_all(&encode_pairs(&[(b"a", 0), (b"a", 1)])).is_err());
     }
 
     #[test]

@@ -1,42 +1,18 @@
-//! [`StreamSession`] wiring for [`StreamingEnsembleDetector`]: the
-//! budgeted driver entry points (thin delegates to the trait's default
-//! implementations, kept inherent so no caller needs a trait import)
-//! and the trait impl itself, through which generic drivers — e.g. an
-//! `egi-serve` fleet — schedule the detector one [`step`] unit at a
-//! time.
+//! [`StreamSession`] wiring for [`StreamingEnsembleDetector`]: the trait
+//! impl through which generic drivers — e.g. an `egi-serve` fleet —
+//! schedule the detector one [`step`] unit at a time. The budgeted
+//! drivers (`run_for`, `run_until`, `run_for_duration`) are the
+//! trait's provided methods; callers bring [`StreamSession`] into
+//! scope to use them.
 //!
 //! [`step`]: StreamingEnsembleDetector::step
 
-use std::time::Duration;
-
 use egi_tskit::evict::EvictError;
 use egi_tskit::session::StreamSession;
-use egi_tskit::Deadline;
 
 use crate::density::RuleDensityCurve;
 use crate::detector::AnomalyReport;
 use crate::streaming::StreamingEnsembleDetector;
-
-impl StreamingEnsembleDetector {
-    /// Refreshes up to `n` members; returns how many ran.
-    pub fn run_for(&mut self, n: usize) -> usize {
-        <Self as StreamSession>::run_for(self, n)
-    }
-
-    /// Refreshes members until `deadline` expires or the detector is
-    /// current; returns how many units ran. The deadline is checked
-    /// **before** each unit, so it is overshot by at most one member
-    /// refresh's work, and an already-expired deadline runs zero units.
-    pub fn run_until(&mut self, deadline: Deadline) -> usize {
-        <Self as StreamSession>::run_until(self, deadline)
-    }
-
-    /// Refreshes members for (at most) `budget` of wall-clock time —
-    /// the "hard latency budget between appends" entry point.
-    pub fn run_for_duration(&mut self, budget: Duration) -> usize {
-        <Self as StreamSession>::run_for_duration(self, budget)
-    }
-}
 
 /// The shared streaming-session contract: every method forwards to the
 /// inherent implementation, so driving the detector through the trait

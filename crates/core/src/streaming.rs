@@ -190,7 +190,7 @@ pub use egi_obs::SessionStats;
 use egi_sax::breakpoints::{MAX_ALPHABET, MIN_ALPHABET};
 use egi_sax::stream::PaaStream;
 use egi_sax::{MultiResBreakpoints, NumerosityReduced, SaxConfig, SaxWord};
-use egi_sequitur::Sequitur;
+use egi_sequitur::{OccDelta, Sequitur, SequiturParts};
 /// The persistence contract implemented by the detector, re-exported
 /// from [`egi_tskit::checkpoint`]: save at any point of an
 /// append/evict/step schedule, restore, replay the rest — the finished
@@ -320,6 +320,7 @@ fn refresh_member(
 /// ```
 /// use egi_core::streaming::StreamingEnsembleDetector;
 /// use egi_core::{EnsembleConfig, EnsembleDetector};
+/// use egi_tskit::StreamSession; // the budgeted drivers (`run_for`, …)
 ///
 /// // A sine train with one corrupted beat in the second half.
 /// let mut series: Vec<f64> = (0..600).map(|i| (i as f64 * 0.2).sin()).collect();
@@ -843,16 +844,77 @@ const CKPT_SECTION_DETECTOR: u32 = u32::from_le_bytes(*b"ENS1");
 /// member in draw order.
 const CKPT_SECTION_MEMBER: u32 = u32::from_le_bytes(*b"MEM1");
 const CKPT_DETECTOR_VERSION: u32 = 1;
-/// Member payload v2 (the incremental density layer): the Sequitur
-/// node record gained per-node position/owner fields and the engine its
-/// delta-tracking state, and the member record gained the
-/// `delta_base` flag — none of which a v1 payload carries, so v1
+/// Member payload v3: the token pipeline (numerosity-reduced sequence,
+/// interning table, Sequitur slab) is written as fixed-width fields
+/// instead of v2's embedded value trees. v2 introduced the incremental
+/// density layer's per-node position/owner fields, engine
+/// delta-tracking state and `delta_base` flag, which v1 lacks. Older
 /// members are rejected as [`CheckpointError::UnsupportedSection`]
-/// rather than restored with a silently unmaintainable curve.
-const CKPT_MEMBER_VERSION: u32 = 2;
+/// rather than misparsed or restored with an unmaintainable curve.
+const CKPT_MEMBER_VERSION: u32 = 3;
 
 fn corrupt(what: impl Into<String>) -> CheckpointError {
     CheckpointError::Corrupt(what.into())
+}
+
+/// Writes a live grammar as its fixed-width [`SequiturParts`]; pending
+/// deltas go as flat `(start, len, created)` triples.
+fn encode_grammar(seq: &Sequitur, f: &mut FieldWriter) {
+    let parts = seq.to_parts();
+    f.u32_slice(&parts.nodes);
+    f.u32_slice(&parts.free);
+    f.u32_slice(&parts.rules);
+    f.usize_slice(&parts.rule_lens);
+    f.u32_slice(&parts.digrams);
+    f.u32_slice(&parts.underused);
+    f.usize(parts.token_count);
+    f.bool(parts.track);
+    let deltas: Vec<usize> = parts
+        .deltas
+        .iter()
+        .flat_map(|d| [d.start, d.len, d.created as usize])
+        .collect();
+    f.usize_slice(&deltas);
+}
+
+/// Reads a grammar written by [`encode_grammar`], with every structural
+/// check of [`Sequitur::from_parts`].
+fn decode_grammar(f: &mut FieldReader<'_>) -> Result<Sequitur, CheckpointError> {
+    let nodes = f.u32_vec()?;
+    let free = f.u32_vec()?;
+    let rules = f.u32_vec()?;
+    let rule_lens = f.usize_vec()?;
+    let digrams = f.u32_vec()?;
+    let underused = f.u32_vec()?;
+    let token_count = f.usize()?;
+    let track = f.bool()?;
+    let flat = f.usize_vec()?;
+    if flat.len() % 3 != 0 {
+        return Err(corrupt("ragged delta triples"));
+    }
+    let deltas = flat
+        .chunks_exact(3)
+        .map(|d| match d[2] {
+            0 | 1 => Ok(OccDelta {
+                start: d[0],
+                len: d[1],
+                created: d[2] == 1,
+            }),
+            other => Err(corrupt(format!("delta flag holds {other}"))),
+        })
+        .collect::<Result<_, _>>()?;
+    Sequitur::from_parts(SequiturParts {
+        nodes,
+        free,
+        rules,
+        rule_lens,
+        digrams,
+        underused,
+        token_count,
+        track,
+        deltas,
+    })
+    .map_err(corrupt)
 }
 
 /// Persistence for the detector (see [`Checkpoint`] for the container
@@ -864,7 +926,6 @@ fn corrupt(what: impl Into<String>) -> CheckpointError {
 /// series and configuration, bit-identical to the evolved originals.
 impl Checkpoint for StreamingEnsembleDetector {
     fn save_checkpoint(&self, writer: &mut impl Write) -> Result<(), CheckpointError> {
-        use serde::Serialize;
         let config = self.config();
         let mut out = CheckpointWriter::begin(writer, 1 + self.members.len() as u32)?;
         let mut f = FieldWriter::new();
@@ -898,16 +959,15 @@ impl Checkpoint for StreamingEnsembleDetector {
             f.usize(member.consumed);
             f.bool(member.delta_base);
             f.f64_slice(&member.curve.values);
-            f.value(&member.nr.to_value());
-            f.value(&member.interner.to_value());
-            f.value(&member.seq.to_value());
+            member.nr.encode(&mut f);
+            member.interner.encode(&mut f);
+            encode_grammar(&member.seq, &mut f);
             out.section(CKPT_SECTION_MEMBER, CKPT_MEMBER_VERSION, &f.into_bytes())?;
         }
         Ok(())
     }
 
     fn load_checkpoint(reader: &mut impl Read) -> Result<Self, CheckpointError> {
-        use serde::Deserialize;
         let mut input = CheckpointReader::begin(reader)?;
         let (_, payload) = input.section(CKPT_SECTION_DETECTOR, CKPT_DETECTOR_VERSION)?;
         let mut f = FieldReader::new(&payload);
@@ -993,8 +1053,8 @@ impl Checkpoint for StreamingEnsembleDetector {
         for (i, member) in detector.members.iter_mut().enumerate() {
             let (version, payload) = input.section(CKPT_SECTION_MEMBER, CKPT_MEMBER_VERSION)?;
             if version != CKPT_MEMBER_VERSION {
-                // v1 members predate the delta-maintained curve (no
-                // per-node position/owner state to resume from).
+                // v1 members predate the delta-maintained curve; v2
+                // members carry their pipeline as value trees.
                 return Err(CheckpointError::UnsupportedSection {
                     tag: CKPT_SECTION_MEMBER,
                     found: version,
@@ -1005,9 +1065,9 @@ impl Checkpoint for StreamingEnsembleDetector {
             let consumed = f.usize()?;
             let delta_base = f.bool()?;
             let curve = f.f64_vec()?;
-            let nr = NumerosityReduced::from_value(&f.value()?)?;
-            let interner = OnlineInterner::from_value(&f.value()?)?;
-            let mut seq = Sequitur::from_value(&f.value()?)?;
+            let nr = NumerosityReduced::decode(&mut f)?;
+            let interner = OnlineInterner::decode(&mut f)?;
+            let mut seq = decode_grammar(&mut f)?;
             // Tracking is structural for the detector (enabling is a
             // no-op on the already-tracking engines we write, and
             // never discards restored pending deltas).
@@ -1592,5 +1652,48 @@ mod tests {
         streaming.run_for(2);
         streaming.compact();
         assert_eq!(streaming.finish(2), batch);
+    }
+
+    /// The grammar codec round-trips a tracking engine with pending
+    /// deltas, and its own delta-triple checks reject what
+    /// `from_parts` never sees.
+    #[test]
+    fn grammar_codec_round_trips_and_rejects_bad_delta_triples() {
+        let mut seq = Sequitur::new();
+        seq.set_delta_tracking(true);
+        for t in (0..90).map(|i| ((i * 5) % 7) as u32) {
+            seq.push(t);
+        }
+        let mut f = FieldWriter::new();
+        encode_grammar(&seq, &mut f);
+        let bytes = f.into_bytes();
+        let mut r = FieldReader::new(&bytes);
+        let back = decode_grammar(&mut r).unwrap();
+        r.finish().unwrap();
+        assert_eq!(back.to_parts(), seq.to_parts());
+        assert!(!back.to_parts().deltas.is_empty(), "deltas were pending");
+
+        // A fresh engine's encoding ends with its empty delta list's
+        // count; swap that for the given flat triples.
+        let with_deltas = |flat: &[usize]| {
+            let mut f = FieldWriter::new();
+            encode_grammar(&Sequitur::new(), &mut f);
+            let mut bytes = f.into_bytes();
+            bytes.truncate(bytes.len() - 8);
+            let mut tail = FieldWriter::new();
+            tail.usize_slice(flat);
+            bytes.extend(tail.into_bytes());
+            bytes
+        };
+        let decode = |bytes: &[u8]| decode_grammar(&mut FieldReader::new(bytes));
+        assert!(decode(&with_deltas(&[0, 2, 1])).is_ok());
+        assert!(matches!(
+            decode(&with_deltas(&[0, 2])),
+            Err(CheckpointError::Corrupt(_))
+        ));
+        assert!(matches!(
+            decode(&with_deltas(&[0, 2, 7])),
+            Err(CheckpointError::Corrupt(_))
+        ));
     }
 }

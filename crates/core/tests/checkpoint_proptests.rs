@@ -11,12 +11,17 @@
 //! * **Corruption is loud.** Truncation at every section boundary is a
 //!   typed [`CheckpointError`]; a bit flip is a typed error or an
 //!   observationally-identical session — never a panic, never a
-//!   silently-wrong detector.
+//!   silently-wrong detector. Member payloads edited *behind* a
+//!   re-sealed checksum exercise the payload decoder's own checks:
+//!   a typed error or a loaded detector, never a panic.
+
+#![forbid(unsafe_code)]
 
 use egi_core::streaming::{Checkpoint, CheckpointError};
 use egi_core::{EnsembleConfig, StreamingEnsembleDetector};
 use egi_testkit::{choose_evict, decode_op, PointGen, ScheduleOp, ShadowSuffix};
-use egi_tskit::checkpoint::list_sections;
+use egi_tskit::checkpoint::{fnv64, list_sections, SectionInfo};
+use egi_tskit::StreamSession;
 use proptest::prelude::*;
 
 fn config(window: usize, members: usize) -> EnsembleConfig {
@@ -176,12 +181,12 @@ proptest! {
         ));
     }
 
-    /// v1 member payloads predate the delta-maintenance node layout
-    /// (no `pos`/`owner` bookkeeping, no `delta_base` flag) and cannot
-    /// be reinterpreted; downgrading any member section's version must
-    /// be a typed [`CheckpointError::UnsupportedSection`], never a
-    /// misparse. Pending delta buffers round-trip alongside (covered
-    /// structurally here, behaviorally by the density-delta harness).
+    /// Member payloads older than v3 cannot be reinterpreted: v1
+    /// predates the delta-maintenance node layout (no `pos`/`owner`
+    /// bookkeeping, no `delta_base` flag) and v2 embeds its token
+    /// pipeline as value trees. Downgrading any member section's
+    /// version to either must be a typed
+    /// [`CheckpointError::UnsupportedSection`], never a misparse.
     #[test]
     fn v1_member_sections_are_rejected_with_a_typed_error(
         window in 8usize..16,
@@ -189,36 +194,93 @@ proptest! {
         seed in 0u64..1_000_000_000,
         raw_ops in prop::collection::vec((0usize..10, 1usize..40), 2..6),
     ) {
-        const MEMBER_TAG: u32 = u32::from_le_bytes(*b"MEM1");
         let gen = PointGen::ensemble();
         let ops: Vec<ScheduleOp> =
             raw_ops.iter().map(|&(k, a)| decode_op(k, a)).collect();
         let (detector, _) =
             replay_prefix(window, members, seed, &gen, &ops, ops.len());
         let bytes = detector.checkpoint_bytes().unwrap();
-        let member_sections: Vec<_> = list_sections(&bytes)
-            .unwrap()
-            .into_iter()
-            .filter(|s| s.tag == MEMBER_TAG)
-            .collect();
+        let member_sections = member_sections(&bytes);
         prop_assert_eq!(member_sections.len(), members);
         for s in &member_sections {
-            prop_assert_eq!(s.payload_version, 2);
-            // The payload version lives right after the 4-byte tag;
-            // the checksum covers only the payload, so this is a
-            // clean format downgrade, not corruption.
-            let mut v1 = bytes.clone();
-            v1[s.start + 4..s.start + 8].copy_from_slice(&1u32.to_le_bytes());
-            match StreamingEnsembleDetector::from_checkpoint_bytes(&v1) {
-                Err(CheckpointError::UnsupportedSection { tag, found, supported }) => {
-                    prop_assert_eq!(tag, MEMBER_TAG);
-                    prop_assert_eq!(found, 1);
-                    prop_assert_eq!(supported, 2);
+            prop_assert_eq!(s.payload_version, 3);
+            for old in [1u32, 2] {
+                // The payload version lives right after the 4-byte tag;
+                // the checksum covers only the payload, so this is a
+                // clean format downgrade, not corruption.
+                let mut downgraded = bytes.clone();
+                downgraded[s.start + 4..s.start + 8].copy_from_slice(&old.to_le_bytes());
+                match StreamingEnsembleDetector::from_checkpoint_bytes(&downgraded) {
+                    Err(CheckpointError::UnsupportedSection { tag, found, supported }) => {
+                        prop_assert_eq!(tag, MEMBER_TAG);
+                        prop_assert_eq!(found, old);
+                        prop_assert_eq!(supported, 3);
+                    }
+                    other => prop_assert!(false,
+                        "v{} member section produced {:?} instead of UnsupportedSection",
+                        old, other.map(|_| "a loaded detector")),
                 }
-                other => prop_assert!(false,
-                    "v1 member section produced {:?} instead of UnsupportedSection",
-                    other.map(|_| "a loaded detector")),
             }
         }
     }
+
+    /// The member decoder's own checks, not the checksum: bytes
+    /// overwritten inside a member payload, with the section's FNV
+    /// checksum re-sealed over the damage, must load as a typed
+    /// [`CheckpointError`] or a detector — never a panic.
+    #[test]
+    fn resealed_member_corruption_is_typed_never_a_panic(
+        window in 8usize..16,
+        members in 3usize..7,
+        seed in 0u64..1_000_000_000,
+        raw_ops in prop::collection::vec((0usize..10, 1usize..40), 2..6),
+        edits in prop::collection::vec((0usize..1 << 20, 0usize..1 << 20, 0u8..=255), 1..24),
+    ) {
+        let gen = PointGen::ensemble();
+        let ops: Vec<ScheduleOp> =
+            raw_ops.iter().map(|&(k, a)| decode_op(k, a)).collect();
+        let (detector, _) =
+            replay_prefix(window, members, seed, &gen, &ops, ops.len());
+        let bytes = detector.checkpoint_bytes().unwrap();
+        let sections = member_sections(&bytes);
+        for &(which, pos, byte) in &edits {
+            let s = &sections[which % sections.len()];
+            // Aim past the member's leading fixed fields and density
+            // curve (`consumed` u64, `delta_base` byte, length-prefixed
+            // f64s) at the token pipeline, where the structural checks
+            // live.
+            let curve_at = s.payload_start + 9;
+            let curve_len = u64::from_le_bytes(bytes[curve_at..curve_at + 8].try_into().unwrap());
+            let pipeline = 17 + 8 * curve_len as usize;
+            let mut bad = bytes.clone();
+            let at = s.payload_start + pipeline + pos % (s.payload_len - pipeline);
+            // Small values land in counts, tags and links in range;
+            // others push a field out of range.
+            bad[at] = if byte < 128 { byte % 4 } else { byte };
+            reseal(&mut bad, s);
+            let outcome = std::panic::catch_unwind(|| {
+                StreamingEnsembleDetector::from_checkpoint_bytes(&bad).map(drop)
+            });
+            prop_assert!(outcome.is_ok(),
+                "overwriting payload byte {} of a member section panicked", at);
+        }
+    }
+}
+
+const MEMBER_TAG: u32 = u32::from_le_bytes(*b"MEM1");
+
+fn member_sections(bytes: &[u8]) -> Vec<SectionInfo> {
+    list_sections(bytes)
+        .unwrap()
+        .into_iter()
+        .filter(|s| s.tag == MEMBER_TAG)
+        .collect()
+}
+
+/// Rewrites `section`'s trailing checksum to match its (edited)
+/// payload, so only the payload decoder can notice the edit.
+fn reseal(bytes: &mut [u8], section: &SectionInfo) {
+    let payload = &bytes[section.payload_start..section.payload_start + section.payload_len];
+    let sum = fnv64(payload).to_le_bytes();
+    bytes[section.end - 8..section.end].copy_from_slice(&sum);
 }

@@ -22,12 +22,15 @@
 //! [`OccDelta`]: egi_sequitur::OccDelta
 //! [`RuleDensityCurve::from_occurrences`]: egi_core::RuleDensityCurve::from_occurrences
 
+#![forbid(unsafe_code)]
+
 use std::collections::HashMap;
 
 use egi_core::streaming::Checkpoint;
 use egi_core::{EnsembleConfig, EnsembleDetector, StreamingEnsembleDetector};
 use egi_sequitur::Sequitur;
 use egi_testkit::{choose_evict, decode_op, PointGen, ScheduleOp, ShadowSuffix};
+use egi_tskit::StreamSession;
 use proptest::prelude::*;
 
 // ---------------------------------------------------------------------------

@@ -9,8 +9,11 @@
 //! model says survived — for every seed, chunk size, eviction schedule,
 //! and rayon worker count.
 
+#![forbid(unsafe_code)]
+
 use egi_core::{EnsembleConfig, EnsembleDetector, EvictError, StreamingEnsembleDetector};
 use egi_testkit::{choose_evict, PointGen};
+use egi_tskit::StreamSession;
 use proptest::prelude::*;
 
 /// Deterministic unbounded stream: the value at global position `i`

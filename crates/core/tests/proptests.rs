@@ -1,10 +1,13 @@
 //! Property-based tests for the detection core.
 
+#![forbid(unsafe_code)]
+
 use egi_core::{
     rank_anomalies, Combiner, EnsembleConfig, EnsembleDetector, RuleDensityCurve,
     StreamingEnsembleDetector,
 };
 use egi_tskit::window::intervals_overlap;
+use egi_tskit::StreamSession;
 use proptest::prelude::*;
 
 /// Deterministic pseudo-series: smooth enough for SAX structure,

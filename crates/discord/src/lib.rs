@@ -68,6 +68,7 @@
 //! [`streaming`] for the fine print (and the one FFT-round-off caveat
 //! at a streaming catch-up transition).
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 

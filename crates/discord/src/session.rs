@@ -1,42 +1,17 @@
-//! [`StreamSession`] wiring for [`StreamingDiscordMonitor`]: the
-//! budgeted driver entry points (thin delegates to the trait's default
-//! implementations, kept inherent so no caller needs a trait import)
-//! and the trait impl itself, through which generic drivers — e.g. an
-//! `egi-serve` fleet — schedule the monitor one [`step`] unit at a
-//! time.
+//! [`StreamSession`] wiring for [`StreamingDiscordMonitor`]: the trait
+//! impl through which generic drivers — e.g. an `egi-serve` fleet —
+//! schedule the monitor one [`step`] unit at a time. The budgeted
+//! drivers (`run_for`, `run_until`, `run_for_duration`) are the
+//! trait's provided methods; callers bring [`StreamSession`] into
+//! scope to use them.
 //!
 //! [`step`]: StreamingDiscordMonitor::step
-
-use std::time::Duration;
 
 use egi_tskit::evict::EvictError;
 use egi_tskit::session::StreamSession;
 
-use crate::anytime::Deadline;
 use crate::profile::MatrixProfile;
 use crate::streaming::StreamingDiscordMonitor;
-
-impl StreamingDiscordMonitor {
-    /// Processes up to `n` pending queries; returns how many ran.
-    pub fn run_for(&mut self, n: usize) -> usize {
-        <Self as StreamSession>::run_for(self, n)
-    }
-
-    /// Processes pending queries until `deadline` expires or the
-    /// monitor is current; returns how many ran. As in
-    /// [`crate::anytime::AnytimeStamp::run_until`], the deadline is
-    /// checked before each query, so it is never overshot by more than
-    /// one query's work.
-    pub fn run_until(&mut self, deadline: Deadline) -> usize {
-        <Self as StreamSession>::run_until(self, deadline)
-    }
-
-    /// Processes pending queries for (at most) `budget` of wall-clock
-    /// time — the "hard latency budget between appends" entry point.
-    pub fn run_for_duration(&mut self, budget: Duration) -> usize {
-        <Self as StreamSession>::run_for_duration(self, budget)
-    }
-}
 
 /// The shared streaming-session contract: every method forwards to the
 /// inherent implementation, so driving the monitor through the trait

@@ -186,6 +186,7 @@ pub const DEFAULT_MONITOR_SEED: u64 = 0x5EED_CAFE;
 ///
 /// ```
 /// use egi_discord::streaming::StreamingDiscordMonitor;
+/// use egi_tskit::StreamSession; // the budgeted drivers (`run_for`, …)
 ///
 /// // A clean sine with one corrupted beat in the second half.
 /// let mut series: Vec<f64> = (0..256).map(|i| (i as f64 * 0.4).sin()).collect();

@@ -15,10 +15,13 @@
 //!   session whose `finish()` is still bit-identical — never a panic,
 //!   never a silently-wrong session.
 
+#![forbid(unsafe_code)]
+
 use egi_discord::mass_seg::MassBackend;
 use egi_discord::streaming::{Checkpoint, CheckpointError, StreamingDiscordMonitor};
 use egi_testkit::{choose_evict, decode_op, PointGen, ScheduleOp, ShadowSuffix};
 use egi_tskit::checkpoint::list_sections;
+use egi_tskit::StreamSession;
 use proptest::prelude::*;
 
 /// Applies one decoded schedule step to a monitor, advancing the shadow

@@ -9,10 +9,13 @@
 //! says survived — for every seed, chunk size, eviction schedule, and
 //! worker count.
 
+#![forbid(unsafe_code)]
+
 use egi_discord::mass_seg::MassBackend;
 use egi_discord::stamp::stamp_with_exclusion;
 use egi_discord::streaming::{EvictError, StreamingDiscordMonitor, DEFAULT_MONITOR_SEED};
 use egi_testkit::{choose_evict, PointGen};
+use egi_tskit::StreamSession;
 use proptest::prelude::*;
 
 /// Deterministic unbounded stream: the value at global position `i`

@@ -14,10 +14,13 @@
 //! cargo test -p egi-discord --test golden_checkpoints -- --ignored
 //! ```
 
+#![forbid(unsafe_code)]
+
 use egi_discord::mass_seg::MassBackend;
 use egi_discord::stamp::stamp_with_exclusion;
 use egi_discord::streaming::{Checkpoint, StreamingDiscordMonitor};
 use egi_testkit::PointGen;
+use egi_tskit::StreamSession;
 use std::path::PathBuf;
 
 const M: usize = 6;

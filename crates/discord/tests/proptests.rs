@@ -5,6 +5,8 @@
 //! other and with the brute-force oracle over random inputs is the
 //! strongest correctness evidence available without external fixtures.
 
+#![forbid(unsafe_code)]
+
 use egi_discord::anytime::AnytimeStamp;
 use egi_discord::brute::brute_force;
 use egi_discord::dist::WindowStats;
@@ -12,6 +14,7 @@ use egi_discord::mass::{mass_self, MassPrecomputed};
 use egi_discord::stamp::{stamp_per_query_fft, stamp_with_exclusion};
 use egi_discord::stomp::stomp_with_exclusion;
 use egi_discord::streaming::StreamingDiscordMonitor;
+use egi_tskit::StreamSession;
 use proptest::prelude::*;
 
 fn series_strategy() -> impl Strategy<Value = Vec<f64>> {

@@ -19,11 +19,14 @@
 //! * invalid evictions are rejected atomically on the segmented backend
 //!   exactly as on the exact one.
 
+#![forbid(unsafe_code)]
+
 use egi_discord::mass_seg::MassBackend;
 use egi_discord::stamp::{stamp_per_query_fft, stamp_with_exclusion};
 use egi_discord::streaming::{EvictError, StreamingDiscordMonitor, DEFAULT_MONITOR_SEED};
 use egi_discord::MassPrecomputed;
 use egi_testkit::{choose_evict, PointGen};
+use egi_tskit::StreamSession;
 use proptest::prelude::*;
 
 /// Parity budget of the segmented backend (see `egi_discord::mass_seg`).

@@ -13,6 +13,8 @@
 //! ensembles for smoke runs; the defaults match the paper (25 series per
 //! dataset, `N = 50`, `wmax = amax = 10`, `τ = 40%`).
 
+#![forbid(unsafe_code)]
+
 use egi_core::EnsembleDetector;
 use egi_eval::report::ReportSink;
 use egi_eval::runner::{EnsembleParams, ExperimentParams};

@@ -1,7 +1,7 @@
 //! # egi-eval — experiment harness
 //!
 //! Reproduces every table and figure of the paper's Section 7 on the
-//! synthetic stand-in corpora (see DESIGN.md "Substitutions"):
+//! synthetic stand-in corpora (see the README's "Substitutions" section):
 //!
 //! | Module | Reproduces |
 //! |--------|------------|
@@ -17,6 +17,7 @@
 //! The `experiments` binary drives everything:
 //! `cargo run --release -p egi-eval --bin experiments -- all --quick`.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 

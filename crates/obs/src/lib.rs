@@ -51,6 +51,8 @@
 //! overhead row. Plain counter/gauge increments stay live — they are
 //! single relaxed atomic adds, far below measurement noise.
 
+#![forbid(unsafe_code)]
+
 mod metrics;
 mod registry;
 mod span;

@@ -2,6 +2,8 @@
 //! concurrent recording from rayon workers, and a golden test pinning
 //! the Prometheus exposition byte for byte.
 
+#![forbid(unsafe_code)]
+
 use egi_obs::{
     bucket_index, bucket_upper_bound, Counter, Histogram, ObsRegistry, HISTOGRAM_BUCKETS,
 };

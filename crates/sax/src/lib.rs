@@ -44,6 +44,7 @@
 //! assert!(word.to_letters().chars().all(|c| ('a'..='c').contains(&c)));
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 

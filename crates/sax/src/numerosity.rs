@@ -7,6 +7,8 @@
 //! to reconstruct time-series positions later (the paper's Eq. (2)→(3)
 //! example).
 
+use egi_tskit::checkpoint::{CheckpointError, FieldReader, FieldWriter};
+
 use crate::word::SaxWord;
 
 /// One retained token: a SAX word plus the offset (window start) of its
@@ -150,57 +152,50 @@ impl NumerosityReduced {
         let (s, e) = self.run_range(i);
         (s, e - 1 + self.window)
     }
-}
 
-impl serde::Serialize for Token {
-    fn to_value(&self) -> serde::Value {
-        (&self.word, self.offset).to_value()
+    /// Appends the sequence to a checkpoint payload: window, end
+    /// offset, then a count-prefixed list of `(word, offset)` tokens.
+    /// [`NumerosityReduced::decode`] is the mirror.
+    pub fn encode(&self, f: &mut FieldWriter) {
+        f.usize(self.window);
+        f.usize(self.end_offset);
+        f.usize(self.tokens.len());
+        for token in &self.tokens {
+            token.word.encode(f);
+            f.usize(token.offset);
+        }
     }
-}
 
-impl serde::Deserialize for Token {
-    fn from_value(value: &serde::Value) -> Result<Self, serde::DeserializeError> {
-        let (word, offset): (SaxWord, usize) = serde::Deserialize::from_value(value)?;
-        Ok(Token { word, offset })
-    }
-}
-
-impl serde::Serialize for NumerosityReduced {
-    fn to_value(&self) -> serde::Value {
-        serde::Value::Obj(vec![
-            ("tokens".into(), self.tokens.to_value()),
-            ("end_offset".into(), self.end_offset.to_value()),
-            ("window".into(), self.window.to_value()),
-        ])
-    }
-}
-
-impl serde::Deserialize for NumerosityReduced {
-    fn from_value(value: &serde::Value) -> Result<Self, serde::DeserializeError> {
-        let tokens: Vec<Token> = value.field("tokens")?;
-        let end_offset: usize = value.field("end_offset")?;
-        let window: usize = value.field("window")?;
+    /// Reads a sequence written by [`NumerosityReduced::encode`],
+    /// rejecting any token stream [`push_word`](Self::push_word) could
+    /// not have built.
+    pub fn decode(f: &mut FieldReader<'_>) -> Result<Self, CheckpointError> {
+        let window = f.usize()?;
+        let end_offset = f.usize()?;
+        // Each token is at least a word length prefix plus an offset.
+        let count = f.len_checked(16)?;
+        let mut tokens = Vec::with_capacity(count);
+        for _ in 0..count {
+            let word = SaxWord::decode(f)?;
+            tokens.push(Token {
+                word,
+                offset: f.usize()?,
+            });
+        }
         // Structural invariants push_word maintains: offsets strictly
         // increase and stay inside the examined-window range, and
         // adjacent tokens differ (they would have been collapsed).
+        let corrupt = |why: &str| Err(CheckpointError::Corrupt(why.into()));
         for pair in tokens.windows(2) {
             if pair[1].offset <= pair[0].offset {
-                return Err(serde::DeserializeError(
-                    "token offsets not strictly increasing".into(),
-                ));
+                return corrupt("token offsets not strictly increasing");
             }
             if pair[1].word == pair[0].word {
-                return Err(serde::DeserializeError(
-                    "adjacent tokens carry the same word".into(),
-                ));
+                return corrupt("adjacent tokens carry the same word");
             }
         }
-        if let Some(last) = tokens.last() {
-            if last.offset >= end_offset {
-                return Err(serde::DeserializeError(
-                    "token offset past end_offset".into(),
-                ));
-            }
+        if tokens.last().is_some_and(|last| last.offset >= end_offset) {
+            return corrupt("token offset past end_offset");
         }
         Ok(NumerosityReduced {
             tokens,
@@ -361,24 +356,45 @@ mod tests {
         assert_eq!(nr.tokens[0].offset, 0);
     }
 
+    fn codec_round_trip(nr: &NumerosityReduced) -> Result<NumerosityReduced, CheckpointError> {
+        let mut f = FieldWriter::new();
+        nr.encode(&mut f);
+        let bytes = f.into_bytes();
+        let mut r = FieldReader::new(&bytes);
+        let back = NumerosityReduced::decode(&mut r)?;
+        r.finish()?;
+        Ok(back)
+    }
+
     #[test]
-    fn serde_round_trip_and_invariant_checks() {
-        use serde::{Deserialize, Serialize};
+    fn codec_round_trip_and_invariant_checks() {
         let nr = numerosity_reduce(vec![w(b"aa"), w(b"aa"), w(b"bb"), w(b"cc"), w(b"cc")], 4);
-        let restored = NumerosityReduced::from_value(&nr.to_value()).unwrap();
-        assert_eq!(restored, nr);
+        assert_eq!(codec_round_trip(&nr).unwrap(), nr);
+        assert_eq!(
+            codec_round_trip(&NumerosityReduced::empty(7)).unwrap(),
+            NumerosityReduced::empty(7)
+        );
 
         // Out-of-order offsets and duplicated adjacent words are
         // rejected — a corrupted token stream must not restore.
         let mut bad = nr.clone();
         bad.tokens[1].offset = 0;
-        assert!(NumerosityReduced::from_value(&bad.to_value()).is_err());
+        assert!(codec_round_trip(&bad).is_err());
         let mut bad = nr.clone();
         bad.tokens[1].word = bad.tokens[0].word.clone();
-        assert!(NumerosityReduced::from_value(&bad.to_value()).is_err());
-        let mut bad = nr;
+        assert!(codec_round_trip(&bad).is_err());
+        let mut bad = nr.clone();
         bad.end_offset = 1;
-        assert!(NumerosityReduced::from_value(&bad.to_value()).is_err());
+        assert!(codec_round_trip(&bad).is_err());
+
+        // A token count larger than the payload can hold errors before
+        // allocating.
+        let mut f = FieldWriter::new();
+        f.usize(4);
+        f.usize(5);
+        f.usize(usize::MAX);
+        let bytes = f.into_bytes();
+        assert!(NumerosityReduced::decode(&mut FieldReader::new(&bytes)).is_err());
     }
 
     #[test]

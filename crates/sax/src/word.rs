@@ -1,5 +1,6 @@
 //! SAX words and single-subsequence discretization.
 
+use egi_tskit::checkpoint::{CheckpointError, FieldReader, FieldWriter};
 use egi_tskit::stats;
 
 use crate::breakpoints::BreakpointTable;
@@ -64,6 +65,17 @@ impl SaxWord {
     pub fn to_letters(&self) -> String {
         self.0.iter().map(|&s| BreakpointTable::letter(s)).collect()
     }
+
+    /// Appends the word to a checkpoint payload as a length-prefixed
+    /// symbol string; [`SaxWord::decode`] is the mirror.
+    pub fn encode(&self, f: &mut FieldWriter) {
+        f.bytes(&self.0);
+    }
+
+    /// Reads a word written by [`SaxWord::encode`].
+    pub fn decode(f: &mut FieldReader<'_>) -> Result<Self, CheckpointError> {
+        Ok(SaxWord(f.bytes()?.to_vec()))
+    }
 }
 
 impl std::fmt::Display for SaxWord {
@@ -75,41 +87,6 @@ impl std::fmt::Display for SaxWord {
 impl From<Vec<u8>> for SaxWord {
     fn from(symbols: Vec<u8>) -> Self {
         Self(symbols)
-    }
-}
-
-impl serde::Serialize for SaxConfig {
-    fn to_value(&self) -> serde::Value {
-        (self.w, self.a).to_value()
-    }
-}
-
-impl serde::Deserialize for SaxConfig {
-    fn from_value(value: &serde::Value) -> Result<Self, serde::DeserializeError> {
-        let (w, a): (usize, usize) = serde::Deserialize::from_value(value)?;
-        // The same bounds SaxConfig::new asserts, surfaced as an error:
-        // the checkpoint loader must never feed a panicking constructor.
-        if w == 0 {
-            return Err(serde::DeserializeError("PAA size must be positive".into()));
-        }
-        if !(crate::breakpoints::MIN_ALPHABET..=crate::breakpoints::MAX_ALPHABET).contains(&a) {
-            return Err(serde::DeserializeError(format!(
-                "alphabet size {a} unsupported"
-            )));
-        }
-        Ok(Self { w, a })
-    }
-}
-
-impl serde::Serialize for SaxWord {
-    fn to_value(&self) -> serde::Value {
-        self.0.to_value()
-    }
-}
-
-impl serde::Deserialize for SaxWord {
-    fn from_value(value: &serde::Value) -> Result<Self, serde::DeserializeError> {
-        Vec::<u8>::from_value(value).map(SaxWord)
     }
 }
 
@@ -190,16 +167,23 @@ mod tests {
     }
 
     #[test]
-    fn serde_round_trip_validates_bounds() {
-        use serde::{Deserialize, Serialize};
-        let cfg = SaxConfig::new(6, 5);
-        assert_eq!(SaxConfig::from_value(&cfg.to_value()), Ok(cfg));
-        let word = SaxWord(vec![0, 3, 1]);
-        assert_eq!(SaxWord::from_value(&word.to_value()), Ok(word));
-        // The panicking constructor's bounds surface as errors here.
-        assert!(SaxConfig::from_value(&(0usize, 4usize).to_value()).is_err());
-        assert!(SaxConfig::from_value(&(4usize, 1usize).to_value()).is_err());
-        assert!(SaxConfig::from_value(&(4usize, 1_000usize).to_value()).is_err());
+    fn codec_round_trip_is_exact() {
+        for word in [
+            SaxWord(vec![0, 3, 1]),
+            SaxWord(vec![]),
+            SaxWord(vec![19; 9]),
+        ] {
+            let mut f = FieldWriter::new();
+            word.encode(&mut f);
+            let bytes = f.into_bytes();
+            let mut r = FieldReader::new(&bytes);
+            assert_eq!(SaxWord::decode(&mut r).unwrap(), word);
+            r.finish().unwrap();
+            // A cut anywhere in the record is an error, not a panic.
+            for cut in 0..bytes.len() {
+                assert!(SaxWord::decode(&mut FieldReader::new(&bytes[..cut])).is_err());
+            }
+        }
     }
 
     #[test]

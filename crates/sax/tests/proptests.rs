@@ -4,6 +4,8 @@
 //! matches the naive specification, numerosity reduction is lossless about
 //! run structure, and symbol assignment is consistent across resolutions.
 
+#![forbid(unsafe_code)]
+
 use egi_sax::stream::{discretize_from_stream, PaaStream};
 use egi_sax::{
     discretize_series, discretize_series_naive, numerosity_reduce, BreakpointTable, FastSax,

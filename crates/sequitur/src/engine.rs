@@ -13,7 +13,6 @@
 //! interleavings).
 
 use rustc_hash::FxHashMap;
-use serde::{Deserialize, DeserializeError, Serialize, Value};
 
 use crate::grammar::{Grammar, GrammarRule, RuleOccurrence, Symbol};
 
@@ -867,7 +866,7 @@ impl Sequitur {
 }
 
 // ----------------------------------------------------------------------
-// Serde-shim impls (checkpoint/restore)
+// Fixed-width parts (checkpoint/restore)
 //
 // The streaming detector checkpoints a *live* engine mid-induction, so
 // the entire slab state — nodes, free-list order (allocation pops from
@@ -879,150 +878,167 @@ impl Sequitur {
 // unobservable (the table is only ever probed by key).
 // ----------------------------------------------------------------------
 
-/// Total order on symbols for deterministic digram emission.
-fn sym_rank(s: Sym) -> (u8, u32) {
-    match s {
-        Sym::T(t) => (0, t),
-        Sym::R(r) => (1, r),
+/// Node-kind / symbol tags of the fixed-width encoding.
+const TAG_GUARD: u32 = 0;
+const TAG_TERMINAL: u32 = 1;
+const TAG_RULE: u32 = 2;
+const TAG_FREE: u32 = 3;
+
+/// A live engine's complete state as flat, fixed-width integer records —
+/// what a checkpoint writer needs to persist an engine mid-induction
+/// without knowing its internals. [`Sequitur::to_parts`] takes it apart;
+/// [`Sequitur::from_parts`] validates and rebuilds it.
+///
+/// A *kind pair* is `(tag, value)`: `(0, rule)` a guard, `(1, token)` a
+/// terminal, `(2, rule)` a rule reference, `(3, 0)` a free slot.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct SequiturParts {
+    /// Node slab, [`Self::NODE_WORDS`] words per node: kind pair,
+    /// `prev`, `next`, `occ_prev`, `occ_next`, `pos`, `owner`.
+    pub nodes: Vec<u32>,
+    /// Free-list node ids, in list order.
+    pub free: Vec<u32>,
+    /// Rule records, [`Self::RULE_WORDS`] words per rule: guard node
+    /// (or `u32::MAX` once expanded away), occurrence-list head, use
+    /// count.
+    pub rules: Vec<u32>,
+    /// Expansion length of each rule.
+    pub rule_lens: Vec<usize>,
+    /// Digram table sorted by key, [`Self::DIGRAM_WORDS`] words per
+    /// entry: kind pair of each symbol, then the node the digram starts
+    /// at.
+    pub digrams: Vec<u32>,
+    /// Rules queued for the utility check.
+    pub underused: Vec<u32>,
+    /// Tokens pushed so far.
+    pub token_count: usize,
+    /// Whether delta tracking is on.
+    pub track: bool,
+    /// Pending occurrence deltas.
+    pub deltas: Vec<OccDelta>,
+}
+
+impl SequiturParts {
+    /// `u32` words per node record in [`nodes`](Self::nodes).
+    pub const NODE_WORDS: usize = 8;
+    /// `u32` words per rule record in [`rules`](Self::rules).
+    pub const RULE_WORDS: usize = 3;
+    /// `u32` words per digram entry in [`digrams`](Self::digrams).
+    pub const DIGRAM_WORDS: usize = 5;
+}
+
+fn kind_pair(kind: Kind) -> [u32; 2] {
+    match kind {
+        Kind::Guard { rule } => [TAG_GUARD, rule],
+        Kind::Sym(Sym::T(t)) => [TAG_TERMINAL, t],
+        Kind::Sym(Sym::R(r)) => [TAG_RULE, r],
+        Kind::Free => [TAG_FREE, 0],
     }
 }
 
-impl Serialize for Sym {
-    fn to_value(&self) -> Value {
-        let (tag, v) = sym_rank(*self);
-        Value::Arr(vec![Value::UInt(tag as u64), Value::UInt(v as u64)])
+fn kind_from_pair(tag: u32, value: u32) -> Result<Kind, String> {
+    match (tag, value) {
+        (TAG_GUARD, rule) => Ok(Kind::Guard { rule }),
+        (TAG_TERMINAL, t) => Ok(Kind::Sym(Sym::T(t))),
+        (TAG_RULE, r) => Ok(Kind::Sym(Sym::R(r))),
+        (TAG_FREE, 0) => Ok(Kind::Free),
+        _ => Err(format!("malformed node kind (tag {tag}, value {value})")),
     }
 }
 
-impl Deserialize for Sym {
-    fn from_value(value: &Value) -> Result<Self, DeserializeError> {
-        let (tag, v): (u8, u32) = Deserialize::from_value(value)?;
-        match tag {
-            0 => Ok(Sym::T(v)),
-            1 => Ok(Sym::R(v)),
-            _ => Err(DeserializeError(format!("unknown symbol tag {tag}"))),
-        }
+fn sym_from_pair(tag: u32, value: u32) -> Result<Sym, String> {
+    match kind_from_pair(tag, value)? {
+        Kind::Sym(s) => Ok(s),
+        _ => Err(format!("digram symbol has non-symbol tag {tag}")),
     }
 }
 
-impl Serialize for Kind {
-    fn to_value(&self) -> Value {
-        match self {
-            Kind::Guard { rule } => Value::Arr(vec![Value::UInt(0), Value::UInt(*rule as u64)]),
-            Kind::Sym(s) => Value::Arr(vec![Value::UInt(1), s.to_value()]),
-            Kind::Free => Value::Arr(vec![Value::UInt(2)]),
-        }
-    }
-}
-
-impl Deserialize for Kind {
-    fn from_value(value: &Value) -> Result<Self, DeserializeError> {
-        let items = match value {
-            Value::Arr(items) if !items.is_empty() => items,
-            other => return Err(DeserializeError::expected("node kind array", other)),
-        };
-        match (u64::from_value(&items[0])?, items.len()) {
-            (0, 2) => Ok(Kind::Guard {
-                rule: u32::from_value(&items[1])?,
-            }),
-            (1, 2) => Ok(Kind::Sym(Sym::from_value(&items[1])?)),
-            (2, 1) => Ok(Kind::Free),
-            (tag, len) => Err(DeserializeError(format!(
-                "malformed node kind (tag {tag}, {len} items)"
-            ))),
-        }
-    }
-}
-
-impl Serialize for Node {
-    fn to_value(&self) -> Value {
-        Value::Arr(vec![
-            self.kind.to_value(),
-            Value::UInt(self.prev as u64),
-            Value::UInt(self.next as u64),
-            Value::UInt(self.occ_prev as u64),
-            Value::UInt(self.occ_next as u64),
-            Value::UInt(self.pos as u64),
-            Value::UInt(self.owner as u64),
-        ])
-    }
-}
-
-impl Deserialize for Node {
-    fn from_value(value: &Value) -> Result<Self, DeserializeError> {
-        let items = match value {
-            Value::Arr(items) if items.len() == 7 => items,
-            other => return Err(DeserializeError::expected("array of 7", other)),
-        };
-        Ok(Node {
-            kind: Kind::from_value(&items[0])?,
-            prev: u32::from_value(&items[1])?,
-            next: u32::from_value(&items[2])?,
-            occ_prev: u32::from_value(&items[3])?,
-            occ_next: u32::from_value(&items[4])?,
-            pos: u32::from_value(&items[5])?,
-            owner: u32::from_value(&items[6])?,
-        })
-    }
-}
-
-impl Serialize for OccDelta {
-    fn to_value(&self) -> Value {
-        (self.start, self.len, self.created).to_value()
-    }
-}
-
-impl Deserialize for OccDelta {
-    fn from_value(value: &Value) -> Result<Self, DeserializeError> {
-        let (start, len, created): (usize, usize, bool) = Deserialize::from_value(value)?;
-        Ok(OccDelta {
-            start,
-            len,
-            created,
-        })
-    }
-}
-
-impl Serialize for Sequitur {
-    fn to_value(&self) -> Value {
-        let rules: Vec<(u32, u32, u32, usize)> = self
+impl Sequitur {
+    /// Takes the engine apart into fixed-width records (see
+    /// [`SequiturParts`]); `from_parts(to_parts())` rebuilds an engine
+    /// whose every future push evolves bit-identically.
+    pub fn to_parts(&self) -> SequiturParts {
+        let nodes: Vec<[u32; SequiturParts::NODE_WORDS]> = self
+            .nodes
+            .iter()
+            .map(|n| {
+                let [tag, value] = kind_pair(n.kind);
+                [
+                    tag, value, n.prev, n.next, n.occ_prev, n.occ_next, n.pos, n.owner,
+                ]
+            })
+            .collect();
+        let rules: Vec<[u32; SequiturParts::RULE_WORDS]> = self
             .rules
             .iter()
-            .map(|r| (r.guard, r.occ_head, r.uses, r.exp_len))
+            .map(|r| [r.guard, r.occ_head, r.uses])
             .collect();
-        let mut digrams: Vec<(Sym, Sym, u32)> =
-            self.digrams.iter().map(|(&(a, b), &n)| (a, b, n)).collect();
-        digrams.sort_unstable_by_key(|&(a, b, _)| (sym_rank(a), sym_rank(b)));
-        Value::Obj(vec![
-            ("nodes".into(), self.nodes.to_value()),
-            ("free".into(), self.free.to_value()),
-            ("rules".into(), rules.to_value()),
-            ("digrams".into(), digrams.to_value()),
-            ("underused".into(), self.underused.to_value()),
-            ("token_count".into(), self.token_count.to_value()),
-            ("track".into(), self.track.to_value()),
-            ("deltas".into(), self.deltas.to_value()),
-        ])
+        // Keys are unique, so sorting whole records sorts by key.
+        let mut digrams: Vec<[u32; SequiturParts::DIGRAM_WORDS]> = self
+            .digrams
+            .iter()
+            .map(|(&(a, b), &n)| {
+                let ([ta, va], [tb, vb]) = (kind_pair(Kind::Sym(a)), kind_pair(Kind::Sym(b)));
+                [ta, va, tb, vb, n]
+            })
+            .collect();
+        digrams.sort_unstable();
+        SequiturParts {
+            nodes: nodes.concat(),
+            free: self.free.clone(),
+            rules: rules.concat(),
+            rule_lens: self.rules.iter().map(|r| r.exp_len).collect(),
+            digrams: digrams.concat(),
+            underused: self.underused.clone(),
+            token_count: self.token_count,
+            track: self.track,
+            deltas: self.deltas.clone(),
+        }
     }
-}
 
-impl Deserialize for Sequitur {
-    fn from_value(value: &Value) -> Result<Self, DeserializeError> {
-        let nodes: Vec<Node> = value.field("nodes")?;
-        let free: Vec<u32> = value.field("free")?;
-        let rules_raw: Vec<(u32, u32, u32, usize)> = value.field("rules")?;
-        let digrams_raw: Vec<(Sym, Sym, u32)> = value.field("digrams")?;
-        let underused: Vec<u32> = value.field("underused")?;
-        let token_count: usize = value.field("token_count")?;
-        let track: bool = value.field("track")?;
-        let deltas: Vec<OccDelta> = value.field("deltas")?;
-
-        let rules: Vec<RuleRec> = rules_raw
-            .into_iter()
-            .map(|(guard, occ_head, uses, exp_len)| RuleRec {
-                guard,
-                occ_head,
-                uses,
+    /// Rebuilds an engine from [`Sequitur::to_parts`] output, erroring
+    /// (never panicking) on ragged or malformed records, dangling
+    /// indices, or a dead root.
+    pub fn from_parts(parts: SequiturParts) -> Result<Self, String> {
+        let SequiturParts {
+            nodes: node_words,
+            free,
+            rules: rule_words,
+            rule_lens,
+            digrams: digram_words,
+            underused,
+            token_count,
+            track,
+            deltas,
+        } = parts;
+        if node_words.len() % SequiturParts::NODE_WORDS != 0
+            || rule_words.len() % SequiturParts::RULE_WORDS != 0
+            || digram_words.len() % SequiturParts::DIGRAM_WORDS != 0
+            || rule_words.len() / SequiturParts::RULE_WORDS != rule_lens.len()
+        {
+            return Err("ragged fixed-width records".into());
+        }
+        let nodes = node_words
+            .chunks_exact(SequiturParts::NODE_WORDS)
+            .map(|w| {
+                Ok(Node {
+                    kind: kind_from_pair(w[0], w[1])?,
+                    prev: w[2],
+                    next: w[3],
+                    occ_prev: w[4],
+                    occ_next: w[5],
+                    pos: w[6],
+                    owner: w[7],
+                })
+            })
+            .collect::<Result<Vec<Node>, String>>()?;
+        let rules: Vec<RuleRec> = rule_words
+            .chunks_exact(SequiturParts::RULE_WORDS)
+            .zip(rule_lens)
+            .map(|(w, exp_len)| RuleRec {
+                guard: w[0],
+                occ_head: w[1],
+                uses: w[2],
                 exp_len,
             })
             .collect();
@@ -1037,7 +1053,7 @@ impl Deserialize for Sequitur {
                 && node_ok(node.occ_prev)
                 && node_ok(node.occ_next))
             {
-                return Err(DeserializeError("node link out of slab range".into()));
+                return Err("node link out of slab range".into());
             }
             let rule_ref = match node.kind {
                 Kind::Guard { rule } => Some(rule),
@@ -1046,50 +1062,44 @@ impl Deserialize for Sequitur {
             };
             if let Some(r) = rule_ref {
                 if (r as usize) >= rules.len() {
-                    return Err(DeserializeError(format!("rule reference {r} out of range")));
+                    return Err(format!("rule reference {r} out of range"));
                 }
             }
             if (node.owner as usize) >= rules.len() {
-                return Err(DeserializeError(format!(
-                    "node owner {} out of range",
-                    node.owner
-                )));
+                return Err(format!("node owner {} out of range", node.owner));
             }
         }
         if rules.is_empty() || rules[0].guard == NIL {
-            return Err(DeserializeError("missing live root rule".into()));
+            return Err("missing live root rule".into());
         }
         for rec in &rules {
             if !(node_ok(rec.guard) && node_ok(rec.occ_head)) {
-                return Err(DeserializeError(
-                    "rule record cites a node out of range".into(),
-                ));
+                return Err("rule record cites a node out of range".into());
             }
         }
         for &f in &free {
             if (f as usize) >= nodes.len() || !matches!(nodes[f as usize].kind, Kind::Free) {
-                return Err(DeserializeError("free list cites a non-free node".into()));
-            }
-        }
-        for &(_, _, n) in &digrams_raw {
-            if (n as usize) >= nodes.len() {
-                return Err(DeserializeError(
-                    "digram table cites a node out of range".into(),
-                ));
+                return Err("free list cites a non-free node".into());
             }
         }
         for &r in &underused {
             if (r as usize) >= rules.len() {
-                return Err(DeserializeError(
-                    "underused queue cites a rule out of range".into(),
-                ));
+                return Err("underused queue cites a rule out of range".into());
             }
         }
 
-        let mut digrams =
-            FxHashMap::with_capacity_and_hasher(digrams_raw.len(), Default::default());
-        for (a, b, n) in digrams_raw {
-            digrams.insert((a, b), n);
+        let mut digrams = FxHashMap::with_capacity_and_hasher(
+            digram_words.len() / SequiturParts::DIGRAM_WORDS,
+            Default::default(),
+        );
+        for w in digram_words.chunks_exact(SequiturParts::DIGRAM_WORDS) {
+            if (w[4] as usize) >= nodes.len() {
+                return Err("digram table cites a node out of range".into());
+            }
+            digrams.insert(
+                (sym_from_pair(w[0], w[1])?, sym_from_pair(w[2], w[3])?),
+                w[4],
+            );
         }
         Ok(Sequitur {
             nodes,
@@ -1437,11 +1447,11 @@ mod tests {
         assert_eq!(s.to_grammar(), induce([1u32, 2]));
     }
 
-    /// A serde round-trip of a live mid-induction engine must restore
+    /// A parts round-trip of a live mid-induction engine must restore
     /// *behavioral* state: the rebuilt engine evolves bit-identically
     /// under every further push (the checkpoint/restore contract).
     #[test]
-    fn serde_round_trip_preserves_future_evolution() {
+    fn parts_round_trip_preserves_future_evolution() {
         let inputs: Vec<Vec<u32>> = vec![
             (0..240).map(|i| ((i * 13) % 9) as u32).collect(),
             vec![5; 40],
@@ -1454,7 +1464,7 @@ mod tests {
                 for &t in &input[..cut] {
                     original.push(t);
                 }
-                let mut restored = Sequitur::from_value(&original.to_value()).expect("round trip");
+                let mut restored = Sequitur::from_parts(original.to_parts()).expect("round trip");
                 assert_eq!(restored.token_count(), original.token_count());
                 assert_eq!(restored.to_grammar(), original.to_grammar());
                 for &t in &input[cut..] {
@@ -1469,55 +1479,93 @@ mod tests {
         }
     }
 
-    /// Malformed value trees — wrong shapes, dangling indices, a dead
-    /// root — error instead of building an engine that panics later.
+    /// Parts are fixed-width and deterministic: the slab costs exactly
+    /// `NODE_WORDS` words per node, and the digram table (a hash map)
+    /// comes out in key order, so equal engines give equal parts.
     #[test]
-    fn serde_rejects_malformed_state() {
-        assert!(Sequitur::from_value(&Value::Null).is_err());
-        assert!(Sequitur::from_value(&Value::Obj(vec![])).is_err());
+    fn parts_are_fixed_width_and_deterministic() {
+        let input: Vec<u32> = (0..300).map(|i| ((i * i) % 11) as u32).collect();
+        let mut a = Sequitur::new();
+        let mut b = Sequitur::new();
+        for &t in &input {
+            a.push(t);
+            b.push(t);
+        }
+        let parts = a.to_parts();
+        assert_eq!(parts, b.to_parts());
+        assert_eq!(parts.nodes.len(), a.slab_len() * SequiturParts::NODE_WORDS);
+        assert_eq!(
+            parts.rules.len(),
+            parts.rule_lens.len() * SequiturParts::RULE_WORDS
+        );
+        assert_eq!(parts.rule_lens[0], input.len(), "root expands to the input");
+        let keys: Vec<&[u32]> = parts
+            .digrams
+            .chunks_exact(SequiturParts::DIGRAM_WORDS)
+            .map(|d| &d[..4])
+            .collect();
+        assert!(
+            keys.windows(2).all(|w| w[0] < w[1]),
+            "digrams sorted by key"
+        );
+    }
 
+    /// Malformed parts — wrong shapes, dangling indices, a dead root —
+    /// error instead of building an engine that panics later.
+    #[test]
+    fn from_parts_rejects_malformed_state() {
         let mut s = Sequitur::new();
         for t in [0u32, 1, 0, 1, 2, 0, 1] {
             s.push(t);
         }
-        let good = s.to_value();
+        let good = s.to_parts();
+        assert!(Sequitur::from_parts(good.clone()).is_ok());
+        let rejects = |edit: &dyn Fn(&mut SequiturParts)| {
+            let mut bad = good.clone();
+            edit(&mut bad);
+            Sequitur::from_parts(bad).is_err()
+        };
+        let words = SequiturParts::NODE_WORDS;
 
+        // Nothing at all, and records of the wrong width.
+        assert!(rejects(&|p| {
+            *p = SequiturParts {
+                nodes: vec![],
+                free: vec![],
+                rules: vec![],
+                rule_lens: vec![],
+                digrams: vec![],
+                underused: vec![],
+                token_count: 0,
+                track: false,
+                deltas: vec![],
+            }
+        }));
+        assert!(rejects(&|p| {
+            p.nodes.pop();
+        }));
+        assert!(rejects(&|p| {
+            p.rule_lens.pop();
+        }));
+        assert!(rejects(&|p| {
+            p.digrams.pop();
+        }));
+        // Unknown node-kind tag, a free slot with a payload, and a
+        // digram keyed on a guard.
+        assert!(rejects(&|p| p.nodes[words] = 9));
+        assert!(rejects(
+            &|p| p.nodes[words..words + 2].copy_from_slice(&[3, 1])
+        ));
+        assert!(rejects(&|p| p.digrams[0] = 0));
         // Dangling node link.
-        let mut bad = good.clone();
-        if let Value::Obj(pairs) = &mut bad {
-            for (k, v) in pairs.iter_mut() {
-                if k == "nodes" {
-                    if let Value::Arr(nodes) = v {
-                        if let Value::Arr(fields) = &mut nodes[1] {
-                            fields[2] = Value::UInt(9_999);
-                        }
-                    }
-                }
-            }
-        }
-        assert!(Sequitur::from_value(&bad).is_err());
-
+        assert!(rejects(&|p| p.nodes[words + 3] = 9_999));
         // Empty rule table (no root).
-        let mut bad = good.clone();
-        if let Value::Obj(pairs) = &mut bad {
-            for (k, v) in pairs.iter_mut() {
-                if k == "rules" {
-                    *v = Value::Arr(vec![]);
-                }
-            }
-        }
-        assert!(Sequitur::from_value(&bad).is_err());
-
+        assert!(rejects(&|p| {
+            p.rules.clear();
+            p.rule_lens.clear();
+        }));
         // Free list citing a live node.
-        let mut bad = good;
-        if let Value::Obj(pairs) = &mut bad {
-            for (k, v) in pairs.iter_mut() {
-                if k == "free" {
-                    *v = Value::Arr(vec![Value::UInt(0)]);
-                }
-            }
-        }
-        assert!(Sequitur::from_value(&bad).is_err());
+        assert!(rejects(&|p| p.free = vec![0]));
     }
 
     /// Folds a batch of deltas into a span-count multiset, panicking on
@@ -1619,7 +1667,7 @@ mod tests {
     }
 
     #[test]
-    fn serde_round_trip_preserves_pending_deltas_and_tracking() {
+    fn parts_round_trip_preserves_pending_deltas_and_tracking() {
         let mut s = Sequitur::new();
         s.set_delta_tracking(true);
         let input: Vec<u32> = (0..120).map(|i| ((i * 5) % 8) as u32).collect();
@@ -1627,7 +1675,7 @@ mod tests {
             s.push(t);
         }
         assert!(!s.deltas.is_empty(), "input should have induced rules");
-        let mut restored = Sequitur::from_value(&s.to_value()).expect("round trip");
+        let mut restored = Sequitur::from_parts(s.to_parts()).expect("round trip");
         assert!(restored.delta_tracking());
         assert_eq!(restored.take_deltas(), s.take_deltas());
         // Tracking continues identically after the restore.

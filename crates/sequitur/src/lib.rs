@@ -25,13 +25,14 @@
 //! assert_eq!(grammar.expand_root(), vec![0, 1, 2, 3, 4, 0, 1, 2]);
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
 mod engine;
 mod grammar;
 
-pub use engine::{OccDelta, Sequitur};
+pub use engine::{OccDelta, Sequitur, SequiturParts};
 pub use grammar::{Grammar, GrammarRule, RuleOccurrence, Symbol};
 
 /// Induces a grammar from a token iterator in one call.

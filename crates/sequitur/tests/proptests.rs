@@ -5,6 +5,8 @@
 //! every rule used ≥ 2 times, every body ≥ 2 symbols. A third, soft
 //! property is monotone compression on repetitive inputs.
 
+#![forbid(unsafe_code)]
+
 use egi_sequitur::{induce, Sequitur};
 use proptest::prelude::*;
 

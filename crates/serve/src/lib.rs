@@ -68,6 +68,7 @@
 //! assert_eq!(profile.index, reference.index);
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 

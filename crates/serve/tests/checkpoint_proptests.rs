@@ -14,6 +14,8 @@
 //!   [`CheckpointError`]; a bit flip is a typed error or an
 //!   observationally-identical fleet — never a panic.
 
+#![forbid(unsafe_code)]
+
 use egi_discord::streaming::StreamingDiscordMonitor;
 use egi_serve::fleet::{Checkpoint, CheckpointError};
 use egi_serve::{Fleet, StreamId};

@@ -15,6 +15,8 @@
 //! * invalid evictions are rejected atomically, naming the stream,
 //!   without poisoning the fleet or perturbing any other stream.
 
+#![forbid(unsafe_code)]
+
 use egi_core::{EnsembleConfig, EnsembleDetector, StreamingEnsembleDetector};
 use egi_discord::stamp::stamp_with_exclusion;
 use egi_discord::streaming::{StreamSession, StreamingDiscordMonitor};

@@ -14,6 +14,8 @@
 //! cargo test -p egi-serve --test golden_checkpoints -- --ignored
 //! ```
 
+#![forbid(unsafe_code)]
+
 use egi_discord::streaming::StreamingDiscordMonitor;
 use egi_serve::fleet::Checkpoint;
 use egi_serve::Fleet;

@@ -16,6 +16,8 @@
 //! bit-parity contracts (`finish()` vs. batch, restored vs.
 //! uninterrupted) need.
 
+#![forbid(unsafe_code)]
+
 /// Deterministic unbounded stream: a pure function from the global
 /// position `i` to the point value. Generating points from their global
 /// index keeps append chunks reproducible without materializing the

@@ -40,9 +40,13 @@
 //! version so one crate can evolve its payload without invalidating
 //! everyone else's.
 //!
-//! Payloads are composed with [`FieldWriter`] / [`FieldReader`]
-//! (primitive fields, slices, and embedded [`serde::Value`] trees for
-//! structured state like the Sequitur grammar slab).
+//! Payloads are composed with [`FieldWriter`] / [`FieldReader`]:
+//! fixed-width primitive fields and length-prefixed slices, nothing
+//! else. Structured state (a token sequence, an interning table, a
+//! Sequitur grammar slab) is written by its owner as a fixed sequence
+//! of such fields, so one codec serves every section and a payload
+//! costs what its fields cost — a grammar node is eight `u32`s on disk
+//! as in memory.
 //!
 //! # Examples
 //!
@@ -70,8 +74,6 @@
 
 use std::io::{Read, Write};
 
-use serde::Value;
-
 /// First bytes of every checkpoint file.
 pub const MAGIC: [u8; 8] = *b"EGICKPT\0";
 
@@ -80,11 +82,6 @@ pub const MAGIC: [u8; 8] = *b"EGICKPT\0";
 /// per-crate payload evolution rides on each section's
 /// `payload_version` instead.
 pub const FORMAT_VERSION: u32 = 1;
-
-/// Maximum nesting depth accepted when decoding an embedded
-/// [`Value`] tree — a guard against stack exhaustion on adversarial
-/// input (honest payloads are a handful of levels deep).
-const MAX_VALUE_DEPTH: usize = 64;
 
 /// Why a checkpoint could not be saved or restored.
 ///
@@ -125,7 +122,7 @@ pub enum CheckpointError {
     /// The input ended before the declared structure was complete.
     Truncated,
     /// The declared structure was present but its contents are invalid
-    /// (checksum mismatch, out-of-range field, malformed value tree).
+    /// (checksum mismatch, out-of-range field, broken invariant).
     Corrupt(String),
 }
 
@@ -177,14 +174,6 @@ impl From<std::io::Error> for CheckpointError {
         } else {
             CheckpointError::Io(e)
         }
-    }
-}
-
-impl From<serde::DeserializeError> for CheckpointError {
-    fn from(e: serde::DeserializeError) -> Self {
-        // Serde-shim rejections are schema/content failures inside a
-        // structurally-intact section — the Corrupt class.
-        CheckpointError::Corrupt(e.0)
     }
 }
 
@@ -524,54 +513,19 @@ impl FieldWriter {
         }
     }
 
+    /// Appends a length-prefixed `u32` slice.
+    pub fn u32_slice(&mut self, v: &[u32]) {
+        self.usize(v.len());
+        for &x in v {
+            self.u32(x);
+        }
+    }
+
     /// Appends a length-prefixed `usize` slice.
     pub fn usize_slice(&mut self, v: &[usize]) {
         self.usize(v.len());
         for &x in v {
             self.usize(x);
-        }
-    }
-
-    /// Appends a [`Value`] tree in the deterministic binary encoding
-    /// (floats as raw bits — nothing is lost to a JSON rendering).
-    pub fn value(&mut self, v: &Value) {
-        match v {
-            Value::Null => self.buf.push(0),
-            Value::Bool(b) => {
-                self.buf.push(1);
-                self.bool(*b);
-            }
-            Value::Int(n) => {
-                self.buf.push(2);
-                self.u64(*n as u64);
-            }
-            Value::UInt(n) => {
-                self.buf.push(3);
-                self.u64(*n);
-            }
-            Value::Float(x) => {
-                self.buf.push(4);
-                self.f64(*x);
-            }
-            Value::Str(s) => {
-                self.buf.push(5);
-                self.bytes(s.as_bytes());
-            }
-            Value::Arr(items) => {
-                self.buf.push(6);
-                self.usize(items.len());
-                for item in items {
-                    self.value(item);
-                }
-            }
-            Value::Obj(pairs) => {
-                self.buf.push(7);
-                self.usize(pairs.len());
-                for (key, val) in pairs {
-                    self.bytes(key.as_bytes());
-                    self.value(val);
-                }
-            }
         }
     }
 }
@@ -649,9 +603,11 @@ impl<'a> FieldReader<'a> {
     }
 
     /// Checked element-count read: the declared count must fit in the
-    /// remaining bytes at `elem_size` bytes per element, so a corrupted
-    /// count errors instead of triggering a giant allocation.
-    fn len_checked(&mut self, elem_size: usize) -> Result<usize, CheckpointError> {
+    /// remaining bytes at (at least) `elem_size` bytes per element, so a
+    /// corrupted count errors instead of triggering a giant allocation.
+    /// Owners decoding their own length-prefixed records use it for the
+    /// record count.
+    pub fn len_checked(&mut self, elem_size: usize) -> Result<usize, CheckpointError> {
         let len = self.usize()?;
         if len > self.buf.len() / elem_size.max(1) {
             return Err(CheckpointError::Corrupt(format!(
@@ -673,54 +629,16 @@ impl<'a> FieldReader<'a> {
         (0..len).map(|_| self.f64()).collect()
     }
 
+    /// Reads a length-prefixed `u32` vector.
+    pub fn u32_vec(&mut self) -> Result<Vec<u32>, CheckpointError> {
+        let len = self.len_checked(4)?;
+        (0..len).map(|_| self.u32()).collect()
+    }
+
     /// Reads a length-prefixed `usize` vector.
     pub fn usize_vec(&mut self) -> Result<Vec<usize>, CheckpointError> {
         let len = self.len_checked(8)?;
         (0..len).map(|_| self.usize()).collect()
-    }
-
-    /// Reads a [`Value`] tree written by [`FieldWriter::value`].
-    pub fn value(&mut self) -> Result<Value, CheckpointError> {
-        self.value_at_depth(0)
-    }
-
-    fn value_at_depth(&mut self, depth: usize) -> Result<Value, CheckpointError> {
-        if depth > MAX_VALUE_DEPTH {
-            return Err(CheckpointError::Corrupt("value tree too deep".into()));
-        }
-        match self.take(1)?[0] {
-            0 => Ok(Value::Null),
-            1 => Ok(Value::Bool(self.bool()?)),
-            2 => Ok(Value::Int(self.u64()? as i64)),
-            3 => Ok(Value::UInt(self.u64()?)),
-            4 => Ok(Value::Float(self.f64()?)),
-            5 => {
-                let bytes = self.bytes()?;
-                let s = std::str::from_utf8(bytes)
-                    .map_err(|_| CheckpointError::Corrupt("non-UTF-8 string".into()))?;
-                Ok(Value::Str(s.to_string()))
-            }
-            6 => {
-                let len = self.len_checked(1)?;
-                let mut items = Vec::with_capacity(len);
-                for _ in 0..len {
-                    items.push(self.value_at_depth(depth + 1)?);
-                }
-                Ok(Value::Arr(items))
-            }
-            7 => {
-                let len = self.len_checked(1)?;
-                let mut pairs = Vec::with_capacity(len);
-                for _ in 0..len {
-                    let key = std::str::from_utf8(self.bytes()?)
-                        .map_err(|_| CheckpointError::Corrupt("non-UTF-8 key".into()))?
-                        .to_string();
-                    pairs.push((key, self.value_at_depth(depth + 1)?));
-                }
-                Ok(Value::Obj(pairs))
-            }
-            tag => Err(CheckpointError::Corrupt(format!("unknown value tag {tag}"))),
-        }
     }
 
     /// Asserts the payload was fully consumed — trailing bytes mean a
@@ -741,26 +659,16 @@ impl<'a> FieldReader<'a> {
 mod tests {
     use super::*;
 
-    fn sample_value() -> Value {
-        Value::Obj(vec![
-            (
-                "nodes".into(),
-                Value::Arr(vec![Value::UInt(3), Value::Int(-9)]),
-            ),
-            ("inf".into(), Value::Float(f64::INFINITY)),
-            ("name".into(), Value::Str("rule".into())),
-            ("none".into(), Value::Null),
-            ("flag".into(), Value::Bool(true)),
-        ])
-    }
-
     fn sample_checkpoint() -> Vec<u8> {
         let mut payload_a = FieldWriter::new();
         payload_a.u32(7);
         payload_a.f64_slice(&[1.0, f64::INFINITY, -0.0]);
         payload_a.opt_usize(Some(12));
         let mut payload_b = FieldWriter::new();
-        payload_b.value(&sample_value());
+        payload_b.u32_slice(&[3, u32::MAX, 0]);
+        payload_b.bytes(b"rule");
+        payload_b.usize_slice(&[9, 0]);
+        payload_b.bool(true);
         let mut bytes = Vec::new();
         let mut w = CheckpointWriter::begin(&mut bytes, 2).unwrap();
         w.section(0xA1, 1, &payload_a.into_bytes()).unwrap();
@@ -769,7 +677,7 @@ mod tests {
     }
 
     #[test]
-    fn round_trips_fields_and_values() {
+    fn round_trips_fields_and_slices() {
         let bytes = sample_checkpoint();
         let mut cursor = bytes.as_slice();
         let mut r = CheckpointReader::begin(&mut cursor).unwrap();
@@ -786,7 +694,10 @@ mod tests {
         let (vb, b) = r.section(0xB2, 3).unwrap();
         assert_eq!(vb, 3);
         let mut f = FieldReader::new(&b);
-        assert_eq!(f.value().unwrap(), sample_value());
+        assert_eq!(f.u32_vec().unwrap(), vec![3, u32::MAX, 0]);
+        assert_eq!(f.bytes().unwrap(), b"rule");
+        assert_eq!(f.usize_vec().unwrap(), vec![9, 0]);
+        assert!(f.bool().unwrap());
         f.finish().unwrap();
     }
 
@@ -906,8 +817,28 @@ mod tests {
         let mut cursor = bytes.as_slice();
         let mut r = CheckpointReader::begin(&mut cursor).unwrap();
         let (_, payload) = r.section(0xA1, 1).unwrap();
-        let mut f = FieldReader::new(&payload);
-        assert!(f.f64_vec().is_err());
+        for read in [
+            |f: &mut FieldReader<'_>| f.f64_vec().map(drop),
+            |f: &mut FieldReader<'_>| f.u32_vec().map(drop),
+            |f: &mut FieldReader<'_>| f.usize_vec().map(drop),
+            |f: &mut FieldReader<'_>| f.bytes().map(drop),
+        ] {
+            assert!(read(&mut FieldReader::new(&payload)).is_err());
+        }
+    }
+
+    #[test]
+    fn slices_cost_a_count_plus_fixed_width_elements() {
+        let sizes = |write: &dyn Fn(&mut FieldWriter)| {
+            let mut f = FieldWriter::new();
+            write(&mut f);
+            f.into_bytes().len()
+        };
+        assert_eq!(sizes(&|f| f.u32_slice(&[7; 5])), 8 + 4 * 5);
+        assert_eq!(sizes(&|f| f.usize_slice(&[7; 5])), 8 + 8 * 5);
+        assert_eq!(sizes(&|f| f.f64_slice(&[0.5; 5])), 8 + 8 * 5);
+        assert_eq!(sizes(&|f| f.bytes(b"abcde")), 8 + 5);
+        assert_eq!(sizes(&|f| f.u32_slice(&[])), 8);
     }
 
     #[test]

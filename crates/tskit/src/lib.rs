@@ -37,6 +37,7 @@
 //! Everything is dependency-light (only `rand`) and deterministic when
 //! seeded, which the evaluation harness relies on for reproducibility.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 

@@ -1,5 +1,7 @@
 //! Property-based tests for the time series substrate.
 
+#![forbid(unsafe_code)]
+
 use egi_tskit::corpus::CorpusSpec;
 use egi_tskit::gen::UcrFamily;
 use egi_tskit::stats::{mean, stddev, PrefixStats};

@@ -1,9 +1,10 @@
 //! Figure 9 case study: anomalies in fridge-freezer power usage.
 //!
 //! Generates a long compressor-cycle power trace (the stand-in for the
-//! REFIT fridge-freezer data, see DESIGN.md) with two planted anomalous
-//! events of *different kinds* — an unusually shaped cycle and a
-//! spike-burst event — and asks the ensemble for its top-2 candidates.
+//! REFIT fridge-freezer data; see the README's "Substitutions") with
+//! two planted anomalous events of *different kinds* — an unusually
+//! shaped cycle and a spike-burst event — and asks the ensemble for its
+//! top-2 candidates.
 //! The paper's point: grammar induction handles variable-length anomalies
 //! in one linear pass where discord search would need one quadratic run
 //! per candidate length.

@@ -6,6 +6,8 @@
 //! printed to stdout in a single line per benchmark. No statistics
 //! beyond that, no HTML reports, no comparison to saved baselines.
 
+#![forbid(unsafe_code)]
+
 use std::fmt::Display;
 use std::time::{Duration, Instant};
 

@@ -8,6 +8,8 @@
 //! deterministically. **No shrinking** — a failing case reports its
 //! values via the assertion message instead.
 
+#![forbid(unsafe_code)]
+
 use rand::rngs::StdRng;
 use rand::{RngCore, SampleRange, SeedableRng};
 

@@ -9,6 +9,8 @@
 //! real `StdRng` (ChaCha12); nothing in this workspace depends on the
 //! exact stream, only on seed-stability.
 
+#![forbid(unsafe_code)]
+
 pub mod rngs;
 pub mod seq;
 

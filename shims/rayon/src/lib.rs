@@ -17,6 +17,8 @@
 //! independent of the worker count by construction — output slots are
 //! indexed, never appended.
 
+#![forbid(unsafe_code)]
+
 use std::cell::Cell;
 use std::convert::Infallible;
 use std::ops::Range;

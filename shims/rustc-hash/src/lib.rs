@@ -1,6 +1,8 @@
 //! Offline stand-in for `rustc-hash`: the Fx multiply-rotate hasher and
 //! the [`FxHashMap`]/[`FxHashSet`] aliases.
 
+#![forbid(unsafe_code)]
+
 use std::collections::{HashMap, HashSet};
 use std::hash::{BuildHasherDefault, Hasher};
 

@@ -5,6 +5,8 @@
 //! and enums with unit variants (→ JSON string of the variant name) —
 //! by hand-parsing the token stream (no `syn`/`quote` available offline).
 
+#![forbid(unsafe_code)]
+
 use proc_macro::{Delimiter, TokenStream, TokenTree};
 
 /// Derives `serde::Serialize`.

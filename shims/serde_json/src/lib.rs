@@ -1,6 +1,8 @@
 //! Offline stand-in for `serde_json`: renders [`serde::Value`] trees as
 //! (pretty) JSON text. Serialization only.
 
+#![forbid(unsafe_code)]
+
 use serde::{Serialize, Value};
 
 /// Serialization error. The shim never actually fails; the type exists

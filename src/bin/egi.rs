@@ -14,6 +14,8 @@
 //! (FAMILY is a UCR-style family name such as `GunPoint`, producing a
 //! labeled corpus series whose ground truth is printed to stderr).
 
+#![forbid(unsafe_code)]
+
 use egi::prelude::*;
 use egi_tskit::io;
 use rand::rngs::StdRng;

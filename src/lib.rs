@@ -37,6 +37,8 @@
 //! | [`serve`] | `egi-serve` | multi-stream fleet runtime: batched ingest, fair-share refresh over [`StreamSession`](tskit::session::StreamSession) monitors |
 //! | [`eval`] | `egi-eval` | metrics and the experiment harness for every table/figure |
 
+#![forbid(unsafe_code)]
+
 pub use egi_core as core;
 pub use egi_discord as discord;
 pub use egi_eval as eval;
