@@ -10,8 +10,8 @@
 //! * **Anytime STAMP** — convergence trajectory: wall-clock and
 //!   fraction-of-profile-settled at query budgets from 5% to 100%
 //!   (finished run asserted bit-identical to `stamp_with_exclusion`);
-//! * **Parallel STAMP** — `AnytimeStamp::finish_parallel` across worker
-//!   counts (each asserted bit-identical to the sequential profile);
+//! * **Parallel STAMP** — `AnytimeStamp::finish` on pools of 1–8
+//!   workers (each asserted bit-identical to the 1-worker profile);
 //! * **Streaming** — `StreamingDiscordMonitor`: append throughput and
 //!   per-append refresh latency at several chunk sizes, streaming the
 //!   second half of the fixture (caught-up profile asserted
@@ -176,6 +176,13 @@ fn main() {
         .map(|p| p.get())
         .unwrap_or(1);
     eprintln!("fixture: ECG {series_len} points, m={m}, {cores} cores");
+    // Rows that time one code path rather than thread scaling run on a
+    // one-worker pool: the query folds otherwise fan out over every
+    // core.
+    let serial = rayon::ThreadPoolBuilder::new()
+        .num_threads(1)
+        .build()
+        .unwrap();
 
     // MASS: K queries — seed path, improved per-query path, shared
     // spectrum.
@@ -258,7 +265,8 @@ fn main() {
         mass_seed_secs / queries.len() as f64 * count as f64
     };
     let (stamp_naive_secs, naive_mp) = seconds(|| stamp_per_query_fft(&series, m, exclusion));
-    let (stamp_fast_secs, fast_mp) = seconds(|| stamp_with_exclusion(&series, m, exclusion));
+    let (stamp_fast_secs, fast_mp) =
+        seconds(|| serial.install(|| stamp_with_exclusion(&series, m, exclusion)));
     let max_dev = naive_mp
         .profile
         .iter()
@@ -335,8 +343,8 @@ fn main() {
         ));
     }
 
-    // Parallel STAMP: batch mode across worker counts, each run pinned
-    // bit-identical to the sequential profile.
+    // Parallel STAMP: the anytime finish across worker counts, each run
+    // pinned bit-identical to the 1-worker profile.
     let mut pstamp_rows = Vec::new();
     for threads in [1usize, 2, 4, 8] {
         let pool = rayon::ThreadPoolBuilder::new()
@@ -344,13 +352,11 @@ fn main() {
             .build()
             .unwrap();
         let (secs, mp) = seconds(|| {
-            pool.install(|| {
-                AnytimeStamp::with_seed(&series, m, exclusion, anytime_seed).finish_parallel()
-            })
+            pool.install(|| AnytimeStamp::with_seed(&series, m, exclusion, anytime_seed).finish())
         });
         assert_eq!(
             mp.profile, fast_mp.profile,
-            "parallel STAMP ({threads} workers) deviates from sequential"
+            "STAMP on {threads} workers deviates from 1 worker"
         );
         assert_eq!(mp.index, fast_mp.index);
         eprintln!("PSTAMP {threads} worker(s): {secs:.3}s");
@@ -388,7 +394,7 @@ fn main() {
             refresh_total += r;
             refresh_max = refresh_max.max(r);
         }
-        let (catchup_secs, finished) = seconds(|| monitor.finish());
+        let (catchup_secs, finished) = seconds(|| serial.install(|| monitor.finish()));
         assert_eq!(
             finished.profile, fast_mp.profile,
             "streaming monitor (chunk {chunk}) deviates from batch STAMP"
@@ -511,7 +517,7 @@ fn main() {
             cycles += 1;
             assert_eq!(monitor.series_len(), retain, "live window must stay pinned");
         }
-        let (evict_finish_secs, finished) = seconds(|| monitor.finish());
+        let (evict_finish_secs, finished) = seconds(|| serial.install(|| monitor.finish()));
         assert_eq!(
             finished.profile, evict_reference.profile,
             "eviction steady state (chunk {chunk}) deviates from suffix batch STAMP"
@@ -565,7 +571,7 @@ fn main() {
                 assert_eq!(ran, part.len(), "fresh windows must be first in the queue");
                 refresh_times.push(r);
             }
-            let (catchup_secs, finished) = seconds(|| monitor.finish());
+            let (catchup_secs, finished) = seconds(|| serial.install(|| monitor.finish()));
             let mut max_dev = 0.0f64;
             match backend {
                 MassBackend::Exact => {
@@ -862,7 +868,6 @@ fn main() {
     let ens_fleet_config = EnsembleConfig {
         window: ens_fleet_window,
         ensemble_size: ens_fleet_members,
-        parallel: false,
         ..EnsembleConfig::default()
     };
     let mut ens_serve_rows = Vec::new();
@@ -1086,23 +1091,22 @@ fn main() {
         ));
     }
 
-    // Ensemble detection: serial vs parallel members.
+    // Ensemble detection: members on a 1-worker pool vs the default
+    // pool.
     let (ens_len, ens_window, ens_members) = if quick {
         (8_000, 128, 10)
     } else {
         (40_000, 300, 25)
     };
     let ens_series = fixture_ecg(ens_len, 9);
-    let config = |parallel| EnsembleConfig {
+    let ensemble = EnsembleDetector::new(EnsembleConfig {
         window: ens_window,
         ensemble_size: ens_members,
-        parallel,
         ..EnsembleConfig::default()
-    };
+    });
     let (ens_serial_secs, serial_report) =
-        seconds(|| EnsembleDetector::new(config(false)).detect(&ens_series, 3, 1));
-    let (ens_parallel_secs, parallel_report) =
-        seconds(|| EnsembleDetector::new(config(true)).detect(&ens_series, 3, 1));
+        seconds(|| serial.install(|| ensemble.detect(&ens_series, 3, 1)));
+    let (ens_parallel_secs, parallel_report) = seconds(|| ensemble.detect(&ens_series, 3, 1));
     assert_eq!(serial_report, parallel_report, "ensemble paths disagree");
     eprintln!(
         "ENSEMBLE {ens_len} pts, {ens_members} members: serial {ens_serial_secs:.3}s, parallel {ens_parallel_secs:.3}s"

@@ -8,7 +8,9 @@
 //! PAA coefficient streams (members differing only in alphabet `a` reuse
 //! the same stream), so the whole ensemble stays linear in the series
 //! length; members execute through the rayon-style runtime in
-//! [`crate::runtime`] since they are fully independent.
+//! [`crate::runtime`] since they are fully independent, so the current
+//! rayon pool's worker count decides the parallelism and never the
+//! result.
 
 use egi_sax::{FastSax, MultiResBreakpoints, SaxConfig};
 use rand::rngs::StdRng;
@@ -80,8 +82,6 @@ pub struct EnsembleConfig {
     pub selectivity: f64,
     /// Curve combination operator.
     pub combiner: Combiner,
-    /// Run members on a thread pool.
-    pub parallel: bool,
 }
 
 impl Default for EnsembleConfig {
@@ -93,7 +93,6 @@ impl Default for EnsembleConfig {
             amax: 10,
             selectivity: 0.4,
             combiner: Combiner::Median,
-            parallel: true,
         }
     }
 }
@@ -161,7 +160,7 @@ impl EnsembleDetector {
     /// Computes one rule density curve per member parameter pair.
     ///
     /// Curves come back in `params` order regardless of scheduling, and
-    /// parallel execution is bit-identical to serial. Members sharing a
+    /// are bit-identical for every rayon worker count. Members sharing a
     /// PAA size `w` share one precomputed coefficient stream (see
     /// [`crate::runtime`]).
     pub fn member_curves(&self, series: &[f64], params: &[SaxConfig]) -> Vec<RuleDensityCurve> {
@@ -174,7 +173,7 @@ impl EnsembleDetector {
                 sax,
             })
             .collect();
-        compute_member_curves(&fast, &multi, &jobs, self.config.parallel)
+        compute_member_curves(&fast, &multi, &jobs)
     }
 
     /// Algorithm 1: builds the ensemble rule density curve.
@@ -191,22 +190,12 @@ impl EnsembleDetector {
         let len = curves[0].len();
         debug_assert!(curves.iter().all(|c| c.len() == len));
 
-        // Rank by standard deviation, descending (line 9); index tiebreak
-        // keeps the procedure deterministic.
-        let mut order: Vec<usize> = (0..curves.len()).collect();
         let stds: Vec<f64> = curves.iter().map(RuleDensityCurve::stddev).collect();
-        order.sort_by(|&x, &y| {
-            stds[y]
-                .partial_cmp(&stds[x])
-                .expect("stddev is finite")
-                .then(x.cmp(&y))
-        });
-        let keep = ((self.config.selectivity * curves.len() as f64).round() as usize)
-            .clamp(1, curves.len());
+        let order = self.rank_members(&stds);
+        let keep = order.len();
 
         // Normalize the kept curves (line 11).
-        let mut kept: Vec<RuleDensityCurve> =
-            order[..keep].iter().map(|&i| curves[i].clone()).collect();
+        let mut kept: Vec<RuleDensityCurve> = order.iter().map(|&i| curves[i].clone()).collect();
         for c in kept.iter_mut() {
             c.normalize_by_max();
         }
@@ -231,22 +220,34 @@ impl EnsembleDetector {
         let params = self.member_params(seed);
         let curves = self.member_curves(series, &params);
         let stds: Vec<f64> = curves.iter().map(RuleDensityCurve::stddev).collect();
-        let mut order: Vec<usize> = (0..curves.len()).collect();
+        let kept = self.rank_members(&stds);
+        MemberDiagnostics {
+            params,
+            curves,
+            stds,
+            kept,
+        }
+    }
+
+    /// The τ filter (Algorithm 1 lines 9–10): member indices ranked by
+    /// curve standard deviation, descending, with the index breaking
+    /// ties so the procedure is deterministic, cut to the kept
+    /// `round(τ·N)` (at least one). Shared by
+    /// [`combine_curves`](Self::combine_curves) and
+    /// [`diagnostics`](Self::diagnostics), so the Figure 5 diagnostics
+    /// always name the members detection keeps.
+    fn rank_members(&self, stds: &[f64]) -> Vec<usize> {
+        let mut order: Vec<usize> = (0..stds.len()).collect();
         order.sort_by(|&x, &y| {
             stds[y]
                 .partial_cmp(&stds[x])
                 .expect("stddev is finite")
                 .then(x.cmp(&y))
         });
-        let keep = ((self.config.selectivity * curves.len() as f64).round() as usize)
-            .clamp(1, curves.len());
+        let keep =
+            ((self.config.selectivity * stds.len() as f64).round() as usize).clamp(1, stds.len());
         order.truncate(keep);
-        MemberDiagnostics {
-            params,
-            curves,
-            stds,
-            kept: order,
-        }
+        order
     }
 
     /// Full detection: ensemble curve → top-`k` non-overlapping minima.
@@ -353,19 +354,40 @@ mod tests {
     }
 
     #[test]
-    fn parallel_and_sequential_agree_exactly() {
+    fn one_and_many_workers_agree_exactly() {
         let (series, _) = beat_train(12, 64, 6);
-        let par = EnsembleDetector::new(EnsembleConfig {
-            parallel: true,
-            ..config(64)
-        });
-        let seq = EnsembleDetector::new(EnsembleConfig {
-            parallel: false,
-            ..config(64)
-        });
-        let a = par.detect(&series, 3, 5);
-        let b = seq.detect(&series, 3, 5);
+        let det = EnsembleDetector::new(config(64));
+        let on_workers = |threads| {
+            rayon::ThreadPoolBuilder::new()
+                .num_threads(threads)
+                .build()
+                .unwrap()
+                .install(|| det.detect(&series, 3, 5))
+        };
+        let a = on_workers(4);
+        let b = on_workers(1);
         assert_eq!(a, b);
+    }
+
+    #[test]
+    fn diagnostics_keep_exactly_the_members_detection_combines() {
+        let (series, _) = beat_train(12, 64, 6);
+        let det = EnsembleDetector::new(config(64));
+        let diag = det.diagnostics(&series, 9);
+        assert_eq!(diag.kept.len(), 8, "round(0.4 × 20)");
+        assert!(diag
+            .kept
+            .windows(2)
+            .all(|p| diag.stds[p[0]] >= diag.stds[p[1]]));
+        // Combining only the kept curves with τ = 1 reproduces the
+        // ensemble curve: the median ignores the kept members' order.
+        let all = EnsembleDetector::new(EnsembleConfig {
+            selectivity: 1.0,
+            ..config(64)
+        });
+        let kept: Vec<RuleDensityCurve> =
+            diag.kept.iter().map(|&i| diag.curves[i].clone()).collect();
+        assert_eq!(all.combine_curves(kept), det.ensemble_curve(&series, 9));
     }
 
     #[test]

@@ -102,8 +102,7 @@ impl MultiWindowEnsemble {
                 params.iter().map(move |&sax| MemberJob { window, sax })
             })
             .collect();
-        let mut curves =
-            compute_member_curves(&fast, &multi, &jobs, self.config.base.parallel).into_iter();
+        let mut curves = compute_member_curves(&fast, &multi, &jobs).into_iter();
 
         members
             .iter()

@@ -13,7 +13,8 @@
 //! 2. **Members are independent.** Every stage (streams, then member
 //!    discretize→Sequitur→density runs) is executed with rayon-style
 //!    `par_iter().map().collect()`, which preserves input order, so
-//!    parallel and serial execution produce bit-identical results.
+//!    every worker count produces bit-identical results; a one-worker
+//!    pool is the serial run.
 //!
 //! [`EnsembleDetector`]: crate::ensemble::EnsembleDetector
 //! [`MultiWindowEnsemble`]: crate::multiwindow::MultiWindowEnsemble
@@ -36,30 +37,21 @@ pub struct MemberJob {
     pub sax: SaxConfig,
 }
 
-/// Runs every job against `fast`, returning curves in job order.
-///
-/// `parallel = false` forces fully serial execution (the results are
-/// identical either way; the flag exists for benchmarking and for
-/// embedding in already-parallel callers).
+/// Runs every job against `fast` on the current rayon pool's workers,
+/// returning curves in job order (identical for every worker count).
 pub fn compute_member_curves(
     fast: &FastSax<'_>,
     multi: &MultiResBreakpoints,
     jobs: &[MemberJob],
-    parallel: bool,
 ) -> Vec<RuleDensityCurve> {
     // Stage 1: one PAA stream per distinct (window, w).
     let mut keys: Vec<(usize, usize)> = jobs.iter().map(|j| (j.window, j.sax.w)).collect();
     keys.sort_unstable();
     keys.dedup();
-    let streams: Vec<PaaStream> = if parallel {
-        keys.par_iter()
-            .map(|&(n, w)| PaaStream::new(fast, n, w))
-            .collect()
-    } else {
-        keys.iter()
-            .map(|&(n, w)| PaaStream::new(fast, n, w))
-            .collect()
-    };
+    let streams: Vec<PaaStream> = keys
+        .par_iter()
+        .map(|&(n, w)| PaaStream::new(fast, n, w))
+        .collect();
     let by_key: HashMap<(usize, usize), &PaaStream> =
         keys.iter().copied().zip(streams.iter()).collect();
 
@@ -69,11 +61,7 @@ pub fn compute_member_curves(
         let nr = discretize_from_stream(stream, job.sax, multi);
         RuleDensityCurve::from_tokens(&nr, fast.len())
     };
-    if parallel {
-        jobs.par_iter().map(run).collect()
-    } else {
-        jobs.iter().map(run).collect()
-    }
+    jobs.par_iter().map(run).collect()
 }
 
 #[cfg(test)]
@@ -87,7 +75,7 @@ mod tests {
     }
 
     #[test]
-    fn parallel_and_serial_curves_agree_exactly() {
+    fn curves_agree_exactly_across_worker_counts() {
         let series = wave(600);
         let fast = FastSax::new(&series);
         let multi = MultiResBreakpoints::new(8);
@@ -103,8 +91,15 @@ mod tests {
             sax: SaxConfig::new(w, a),
         })
         .collect();
-        let par = compute_member_curves(&fast, &multi, &jobs, true);
-        let ser = compute_member_curves(&fast, &multi, &jobs, false);
+        let on_workers = |threads| {
+            rayon::ThreadPoolBuilder::new()
+                .num_threads(threads)
+                .build()
+                .unwrap()
+                .install(|| compute_member_curves(&fast, &multi, &jobs))
+        };
+        let ser = on_workers(1);
+        let par = on_workers(4);
         assert_eq!(par, ser);
         assert_eq!(par.len(), jobs.len());
         assert!(par.iter().all(|c| c.len() == series.len()));
@@ -127,7 +122,7 @@ mod tests {
                 sax: SaxConfig::new(5, 9),
             },
         ];
-        let shared = compute_member_curves(&fast, &multi, &jobs, false);
+        let shared = compute_member_curves(&fast, &multi, &jobs);
         for (job, curve) in jobs.iter().zip(&shared) {
             let nr = egi_sax::discretize_series(&fast, job.window, job.sax, &multi);
             let direct = RuleDensityCurve::from_tokens(&nr, series.len());

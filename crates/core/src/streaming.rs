@@ -792,9 +792,9 @@ impl StreamingEnsembleDetector {
         rank_anomalies(&curve.values, self.config().window, k)
     }
 
-    /// Refreshes every stale member (on rayon workers when the
-    /// configuration says `parallel`, serially otherwise — results are
-    /// bit-identical either way) and returns the finished report:
+    /// Refreshes every stale member (fanned out over the current rayon
+    /// pool's workers — results are bit-identical for every worker
+    /// count) and returns the finished report:
     /// **bit-identical** to batch [`EnsembleDetector::detect`] on the
     /// full ingested series with this detector's seed, for every append
     /// schedule, chunk size, and worker count.
@@ -808,11 +808,12 @@ impl StreamingEnsembleDetector {
         }
     }
 
-    /// Drains the stale queue. Members are independent, so the parallel
-    /// path (in-place rayon iteration) produces states bit-identical to
-    /// the serial one.
+    /// Drains the stale queue. Members are independent, so refreshing
+    /// them in place on rayon workers produces states bit-identical to
+    /// [`step`](Self::step)ping them one by one, and the session
+    /// counters advance exactly as stepping would advance them.
     fn catch_up(&mut self) {
-        if !self.config().parallel || self.stale.len() <= 1 {
+        if self.stale.len() <= 1 {
             while self.step() {}
             return;
         }
@@ -843,7 +844,11 @@ const CKPT_SECTION_DETECTOR: u32 = u32::from_le_bytes(*b"ENS1");
 /// Section tag of each per-member section (`b"MEM1"`), one per ensemble
 /// member in draw order.
 const CKPT_SECTION_MEMBER: u32 = u32::from_le_bytes(*b"MEM1");
-const CKPT_DETECTOR_VERSION: u32 = 1;
+/// Detector payload v2: v1 carried a serial/parallel flag byte after
+/// the combiner tag; the worker pool now decides parallelism, so the
+/// byte is gone and v1 sections are rejected as
+/// [`CheckpointError::UnsupportedSection`].
+const CKPT_DETECTOR_VERSION: u32 = 2;
 /// Member payload v3: the token pipeline (numerosity-reduced sequence,
 /// interning table, Sequitur slab) is written as fixed-width fields
 /// instead of v2's embedded value trees. v2 introduced the incremental
@@ -940,7 +945,6 @@ impl Checkpoint for StreamingEnsembleDetector {
             Combiner::Min => 2,
             Combiner::Max => 3,
         });
-        f.bool(config.parallel);
         f.u64(self.seed);
         f.u64(self.clock.epochs());
         f.usize(self.clock.offset());
@@ -969,7 +973,14 @@ impl Checkpoint for StreamingEnsembleDetector {
 
     fn load_checkpoint(reader: &mut impl Read) -> Result<Self, CheckpointError> {
         let mut input = CheckpointReader::begin(reader)?;
-        let (_, payload) = input.section(CKPT_SECTION_DETECTOR, CKPT_DETECTOR_VERSION)?;
+        let (version, payload) = input.section(CKPT_SECTION_DETECTOR, CKPT_DETECTOR_VERSION)?;
+        if version != CKPT_DETECTOR_VERSION {
+            return Err(CheckpointError::UnsupportedSection {
+                tag: CKPT_SECTION_DETECTOR,
+                found: version,
+                supported: CKPT_DETECTOR_VERSION,
+            });
+        }
         let mut f = FieldReader::new(&payload);
         let window = f.usize()?;
         let ensemble_size = f.usize()?;
@@ -983,7 +994,6 @@ impl Checkpoint for StreamingEnsembleDetector {
             3 => Combiner::Max,
             other => return Err(corrupt(format!("unknown combiner tag {other}"))),
         };
-        let parallel = f.bool()?;
         let seed = f.u64()?;
         let epochs = f.u64()?;
         let offset = f.usize()?;
@@ -1025,7 +1035,6 @@ impl Checkpoint for StreamingEnsembleDetector {
             amax,
             selectivity,
             combiner,
-            parallel,
         };
         let mut detector = Self::new(config, seed);
         if detector.members.len() != member_count
@@ -1139,6 +1148,15 @@ mod tests {
             ensemble_size: members,
             ..EnsembleConfig::default()
         }
+    }
+
+    /// Runs `f` on a rayon pool pinned to `threads` workers.
+    fn on_workers<R>(threads: usize, f: impl FnOnce() -> R) -> R {
+        rayon::ThreadPoolBuilder::new()
+            .num_threads(threads)
+            .build()
+            .unwrap()
+            .install(f)
     }
 
     #[test]
@@ -1259,23 +1277,46 @@ mod tests {
     }
 
     #[test]
-    fn parallel_and_serial_finish_agree_exactly() {
+    fn one_and_many_worker_finish_agree_exactly() {
         let series = test_series(320);
-        let serial_cfg = EnsembleConfig {
-            parallel: false,
-            ..config(20, 9)
-        };
-        let parallel_cfg = EnsembleConfig {
-            parallel: true,
-            ..config(20, 9)
-        };
-        let mut a = StreamingEnsembleDetector::new(serial_cfg, 8);
-        let mut b = StreamingEnsembleDetector::new(parallel_cfg, 8);
+        let mut a = StreamingEnsembleDetector::new(config(20, 9), 8);
+        let mut b = StreamingEnsembleDetector::new(config(20, 9), 8);
         for part in series.chunks(60) {
             a.append(part);
             b.append(part);
         }
-        assert_eq!(a.finish(3), b.finish(3));
+        let serial = on_workers(1, || a.finish(3));
+        let fanned = on_workers(4, || b.finish(3));
+        assert_eq!(serial, fanned);
+    }
+
+    /// `finish` refreshes the stale members in one bulk fan-out; its
+    /// session counters must match a detector that stepped through the
+    /// same backlog one member at a time, on one worker and on several.
+    #[test]
+    fn bulk_finish_keeps_the_counters_of_stepping() {
+        let series = test_series(360);
+        let drive = |detector: &mut StreamingEnsembleDetector| {
+            for (i, part) in series.chunks(50).enumerate() {
+                detector.append(part);
+                detector.run_for(2);
+                if i == 3 {
+                    detector.evict(60).unwrap();
+                }
+            }
+        };
+        for threads in [1usize, 4] {
+            let mut bulk = StreamingEnsembleDetector::new(config(20, 7), 4);
+            let mut stepped = StreamingEnsembleDetector::new(config(20, 7), 4);
+            drive(&mut bulk);
+            drive(&mut stepped);
+            assert!(bulk.pending_members() > 1, "a real backlog to drain");
+            let report = on_workers(threads, || bulk.finish(3));
+            stepped.run_for(usize::MAX);
+            let snapshot = stepped.snapshot();
+            assert_eq!(bulk.metrics(), stepped.metrics(), "{threads} workers");
+            assert_eq!(report.curve, snapshot.values, "{threads} workers");
+        }
     }
 
     #[test]
@@ -1427,17 +1468,14 @@ mod tests {
     }
 
     #[test]
-    fn full_drain_parallel_finish_serves_empty_report_exactly() {
+    fn full_drain_finish_serves_empty_report_exactly() {
         // The only valid windowless suffix is the empty one (the
-        // boundary rule rejects 0 < suffix < window); both the serial
-        // and the parallel finish must serve the empty batch report
+        // boundary rule rejects 0 < suffix < window); both a one-worker
+        // and a many-worker finish must serve the empty batch report
         // even though members were current before the drain.
         let series = test_series(150);
-        for parallel in [false, true] {
-            let cfg = EnsembleConfig {
-                parallel,
-                ..config(30, 5)
-            };
+        for threads in [1usize, 4] {
+            let cfg = config(30, 5);
             let mut streaming = StreamingEnsembleDetector::new(cfg, 6);
             streaming.append(&series);
             streaming.run_for(usize::MAX);
@@ -1450,9 +1488,9 @@ mod tests {
             );
             streaming.evict(150).unwrap();
             assert_eq!(streaming.window_count(), 0);
-            let report = streaming.finish(2);
+            let report = on_workers(threads, || streaming.finish(2));
             let batch = EnsembleDetector::new(cfg).detect(&[], 2, 6);
-            assert_eq!(report, batch, "parallel {parallel}");
+            assert_eq!(report, batch, "{threads} workers");
             assert!(report.curve.is_empty());
         }
     }
@@ -1632,6 +1670,42 @@ mod tests {
         assert!(matches!(
             StreamingEnsembleDetector::from_checkpoint_bytes(&alien),
             Err(CheckpointError::UnexpectedSection { .. })
+        ));
+    }
+
+    /// A v1 detector section — the same fields plus the retired
+    /// serial/parallel flag byte after the combiner tag — is rejected
+    /// as a typed version error, never misparsed.
+    #[test]
+    fn v1_detector_sections_are_rejected_with_a_typed_error() {
+        let mut detector = StreamingEnsembleDetector::new(config(18, 5), 1);
+        detector.append(&test_series(120));
+        let bytes = detector.checkpoint_bytes().unwrap();
+        let head = egi_tskit::checkpoint::list_sections(&bytes)
+            .unwrap()
+            .remove(0);
+        assert_eq!(head.tag, CKPT_SECTION_DETECTOR);
+        assert_eq!(head.payload_version, 2);
+        let payload = &bytes[head.payload_start..head.payload_start + head.payload_len];
+        // window, ensemble_size, wmax, amax, selectivity, combiner tag.
+        let flag_at = 4 * 8 + 8 + 4;
+        let mut v1_payload = payload[..flag_at].to_vec();
+        v1_payload.push(1);
+        v1_payload.extend_from_slice(&payload[flag_at..]);
+        let mut v1 = bytes[..head.start].to_vec();
+        v1.extend_from_slice(&CKPT_SECTION_DETECTOR.to_le_bytes());
+        v1.extend_from_slice(&1u32.to_le_bytes());
+        v1.extend_from_slice(&(v1_payload.len() as u64).to_le_bytes());
+        v1.extend_from_slice(&v1_payload);
+        v1.extend_from_slice(&egi_tskit::checkpoint::fnv64(&v1_payload).to_le_bytes());
+        v1.extend_from_slice(&bytes[head.end..]);
+        assert!(matches!(
+            StreamingEnsembleDetector::from_checkpoint_bytes(&v1),
+            Err(CheckpointError::UnsupportedSection {
+                tag: CKPT_SECTION_DETECTOR,
+                found: 1,
+                supported: 2,
+            })
         ));
     }
 

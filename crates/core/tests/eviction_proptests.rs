@@ -22,11 +22,10 @@ fn point(i: usize) -> f64 {
     PointGen::ensemble().at(i)
 }
 
-fn config(window: usize, members: usize, parallel: bool) -> EnsembleConfig {
+fn config(window: usize, members: usize) -> EnsembleConfig {
     EnsembleConfig {
         window,
         ensemble_size: members,
-        parallel,
         ..EnsembleConfig::default()
     }
 }
@@ -46,7 +45,7 @@ proptest! {
         seed in 0u64..1_000_000_000,
         ops in prop::collection::vec((0usize..10, 1usize..40), 3..12),
     ) {
-        let cfg = config(window, members, false);
+        let cfg = config(window, members);
         let mut streaming = StreamingEnsembleDetector::new(cfg, seed);
         let mut appended = 0usize;
         let mut offset = 0usize;
@@ -95,7 +94,7 @@ proptest! {
         len in 1usize..80,
         over in 1usize..20,
     ) {
-        let cfg = config(window, 4, false);
+        let cfg = config(window, 4);
         let mut streaming = StreamingEnsembleDetector::new(cfg, 1);
         let chunk: Vec<f64> = (0..len).map(point).collect();
         streaming.append(&chunk);
@@ -120,9 +119,9 @@ proptest! {
         prop_assert_eq!(streaming.snapshot(), snap);
     }
 
-    /// The parallel catch-up stays bit-identical to the suffix batch
-    /// for every worker count, with an eviction landing mid-stream and
-    /// slab compaction sprinkled in.
+    /// A multi-worker catch-up stays bit-identical to the one-worker
+    /// suffix batch for every worker count, with an eviction landing
+    /// mid-stream and slab compaction sprinkled in.
     #[test]
     fn parallel_finish_after_eviction_matches_suffix_batch(
         window in 8usize..18,
@@ -134,7 +133,7 @@ proptest! {
     ) {
         let total = 160usize;
         let series: Vec<f64> = (0..total).map(point).collect();
-        let cfg = config(window, members, true);
+        let cfg = config(window, members);
         let mut streaming = StreamingEnsembleDetector::new(cfg, seed);
         for part in series.chunks(chunk) {
             streaming.append(part);
@@ -150,7 +149,11 @@ proptest! {
             .build()
             .unwrap()
             .install(|| streaming.finish(2));
-        let batch = EnsembleDetector::new(cfg).detect(&series[cut..], 2, seed);
+        let batch = rayon::ThreadPoolBuilder::new()
+            .num_threads(1)
+            .build()
+            .unwrap()
+            .install(|| EnsembleDetector::new(cfg).detect(&series[cut..], 2, seed));
         prop_assert_eq!(report, batch);
     }
 
@@ -168,7 +171,7 @@ proptest! {
         let n = window * n_mult;
         let total = n + extra;
         let series: Vec<f64> = (0..total).map(point).collect();
-        let cfg = config(window, 5, false);
+        let cfg = config(window, 5);
         let mut streaming = StreamingEnsembleDetector::new(cfg, seed);
         streaming.retain_last(n).unwrap();
         for part in series.chunks(chunk) {
@@ -199,7 +202,7 @@ fn memory_stays_bounded_under_retention() {
     let chunk = 128;
     let total = 6_016; // 47 chunks
     let seed = 21;
-    let cfg = config(window, members, false);
+    let cfg = config(window, members);
     let mut streaming = StreamingEnsembleDetector::new(cfg, seed);
     streaming.retain_last(n).unwrap();
     let mut fed = 0usize;

@@ -1,11 +1,12 @@
 //! Golden-fixture test for the ensemble-detector checkpoint format.
 //!
 //! `tests/fixtures/ensemble_v3.ckpt` holds committed bytes written
-//! when member payload v3 (the fixed-width token pipeline: numerosity
-//! tokens, interning table, Sequitur slab as `u32` records) was
-//! introduced; this proves today's code still loads them and resumes
-//! onto the same bit-identical report. A failure means the on-disk
-//! format changed without a version bump.
+//! with member payload v3 (the fixed-width token pipeline: numerosity
+//! tokens, interning table, Sequitur slab as `u32` records) and
+//! detector payload v2 (the configuration without a serial/parallel
+//! flag); this proves today's code still loads them and resumes onto
+//! the same bit-identical report. A failure means the on-disk format
+//! changed without a version bump.
 //!
 //! Regenerate after an intentional format change with:
 //!
@@ -33,7 +34,6 @@ fn canonical_config() -> EnsembleConfig {
     EnsembleConfig {
         window: 12,
         ensemble_size: 4,
-        parallel: false,
         ..EnsembleConfig::default()
     }
 }

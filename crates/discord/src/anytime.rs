@@ -1,4 +1,4 @@
-//! Anytime and parallel STAMP on the shared-spectrum MASS path.
+//! Anytime STAMP on the shared-spectrum MASS path.
 //!
 //! STAMP's defining property — the reason it survives next to the
 //! asymptotically faster STOMP — is that it is an *anytime* algorithm:
@@ -18,10 +18,10 @@
 //!   query cap): the
 //!   clock is checked **before** each query, so a deadline is never
 //!   overshot by more than one query's work;
-//! * [`AnytimeStamp::finish_parallel`] fans the remaining queries out
-//!   across rayon workers, each folding into a thread-local partial
-//!   profile, merged under the shared `(distance, index)`
-//!   lexicographic rule.
+//! * [`AnytimeStamp::finish`] folds the remaining queries in one go,
+//!   fanned out across the current rayon pool's workers, each folding
+//!   into a thread-local partial profile merged under the shared
+//!   `(distance, index)` lexicographic rule.
 //!
 //! # Determinism and convergence guarantees
 //!
@@ -32,8 +32,8 @@
 //! associative, so the finished profile **and index vector** are
 //! bit-identical to sequential [`stamp()`](crate::stamp::stamp) for
 //! *every* seed, every query permutation, every interleaving of `step` /
-//! `run_for` / `finish_parallel`, and every rayon worker count (pinned
-//! by the property tests). Partial snapshots are pointwise
+//! `run_for` / `finish`, and every rayon worker count (pinned by the
+//! property tests). Partial snapshots are pointwise
 //! non-increasing in the number of processed queries, and after `k`
 //! queries every snapshot entry `i` already accounts for all admissible
 //! pairs involving any processed query — the partial profile is always
@@ -46,12 +46,10 @@
 
 use std::time::Duration;
 
-use rayon::prelude::*;
-
-use crate::mass::{MassPrecomputed, MassScratch};
+use crate::mass::MassPrecomputed;
 use crate::mass_seg::{EngineScratch, MassBackend, MassEngine};
-use crate::profile::{merge_min_into, MatrixProfile};
-use crate::stamp::update_from_profile;
+use crate::profile::MatrixProfile;
+use crate::stamp::{fold_queries, update_from_profile};
 use crate::stomp::default_exclusion;
 
 /// Seed used by [`AnytimeStamp::new`] when the caller does not pick one.
@@ -92,7 +90,7 @@ pub fn pseudo_random_order(n: usize, seed: u64) -> Vec<usize> {
 }
 
 /// An interruptible STAMP run: a converging matrix profile that can be
-/// stepped, snapshotted, and finished — sequentially or in parallel.
+/// stepped, snapshotted, and finished.
 ///
 /// See the [module docs](self) for the determinism and convergence
 /// contract.
@@ -286,80 +284,29 @@ impl AnytimeStamp {
         }
     }
 
-    /// Runs all remaining queries sequentially and returns the finished
-    /// profile — bit-identical to [`stamp()`](crate::stamp::stamp) with
-    /// the same exclusion.
-    pub fn finish(&mut self) -> MatrixProfile {
-        while self.step() {}
-        self.snapshot()
-    }
-
-    /// Runs all remaining queries on rayon workers and returns the
-    /// finished profile.
+    /// Runs all remaining queries and returns the finished profile —
+    /// bit-identical to [`stamp()`](crate::stamp::stamp) with the same
+    /// exclusion, for every rayon worker count.
     ///
-    /// Remaining queries are split into per-worker chunks; each worker
-    /// folds its chunk into a thread-local partial profile with its own
-    /// [`MassScratch`], and the partials merge under
-    /// [`merge_min_into`] —
-    /// commutative and associative, hence bit-identical to the
-    /// sequential result for every worker count and chunking (pinned by
-    /// the property tests). The worker count follows rayon's current
-    /// configuration, as in [`mod@crate::stomp`].
-    pub fn finish_parallel(&mut self) -> MatrixProfile {
-        let remaining = &self.order[self.next..];
-        let threads = rayon::current_num_threads();
-        if threads <= 1 || remaining.len() <= 1 {
-            return self.finish();
-        }
-        let MassEngine::Exact(mass) = &self.mass else {
-            // Segmented queries roll sequentially from their
-            // predecessor's covariance row; fanning them out would
-            // force an FFT reseed per worker chunk and lose the point.
-            return self.finish();
-        };
-        let count = mass.window_count();
-        let chunk_len = remaining.len().div_ceil(threads);
-        let chunks: Vec<Vec<usize>> = remaining.chunks(chunk_len).map(<[usize]>::to_vec).collect();
-        let exclusion = self.exclusion;
-        let partials: Vec<(Vec<f64>, Vec<usize>)> = chunks
-            .into_par_iter()
-            .map(|chunk| {
-                let mut scratch = MassScratch::default();
-                let mut dp = Vec::new();
-                let mut profile = vec![f64::INFINITY; count];
-                let mut index = vec![usize::MAX; count];
-                for q in chunk {
-                    mass.distance_profile_into(q, &mut scratch, &mut dp);
-                    update_from_profile(q, &dp, exclusion, &mut profile, &mut index);
-                }
-                (profile, index)
-            })
-            .collect();
-        for (local_profile, local_index) in partials {
-            merge_min_into(
-                &mut self.profile,
-                &mut self.index,
-                &local_profile,
-                &local_index,
-            );
-        }
+    /// On the exact backend the remaining queries are split into one
+    /// chunk per worker of the current rayon pool; each worker folds its
+    /// chunk into a thread-local partial profile, and the partials merge
+    /// under the shared `(distance, index)` rule. The segmented backend
+    /// folds them in order, each query rolling from its predecessor's
+    /// covariance row. Run inside a one-worker
+    /// [`rayon::ThreadPool`] for a serial finish.
+    pub fn finish(&mut self) -> MatrixProfile {
+        fold_queries(
+            &self.mass,
+            &self.order[self.next..],
+            self.exclusion,
+            &mut self.scratch,
+            &mut self.profile,
+            &mut self.index,
+        );
         self.next = self.order.len();
         self.snapshot()
     }
-}
-
-/// Parallel STAMP: the full matrix profile with queries fanned out
-/// across rayon workers — bit-identical to [`stamp_with_exclusion`]
-/// (and therefore deterministic for every worker count).
-///
-/// [`stamp_with_exclusion`]: crate::stamp::stamp_with_exclusion
-pub fn stamp_parallel_with_exclusion(series: &[f64], m: usize, exclusion: usize) -> MatrixProfile {
-    AnytimeStamp::with_exclusion(series, m, exclusion).finish_parallel()
-}
-
-/// Parallel STAMP with the default `m/2` exclusion zone.
-pub fn stamp_parallel(series: &[f64], m: usize) -> MatrixProfile {
-    stamp_parallel_with_exclusion(series, m, default_exclusion(m))
 }
 
 #[cfg(test)]
@@ -368,6 +315,15 @@ mod tests {
 
     use super::*;
     use crate::stamp::stamp_with_exclusion;
+
+    /// Runs `f` on a rayon pool pinned to `threads` workers.
+    fn on_workers<R>(threads: usize, f: impl FnOnce() -> R) -> R {
+        rayon::ThreadPoolBuilder::new()
+            .num_threads(threads)
+            .build()
+            .unwrap()
+            .install(f)
+    }
 
     fn test_series(n: usize) -> Vec<f64> {
         (0..n)
@@ -415,7 +371,7 @@ mod tests {
         assert_eq!(driver.processed(), 1);
         driver.run_for(10);
         assert_eq!(driver.processed(), 11);
-        let finished = driver.finish_parallel();
+        let finished = on_workers(4, || driver.finish());
         assert!(driver.is_done());
         assert!(!driver.step());
         assert_eq!(finished.profile, reference.profile);
@@ -423,17 +379,15 @@ mod tests {
     }
 
     #[test]
-    fn parallel_finish_deterministic_across_thread_counts() {
+    fn finish_deterministic_across_worker_counts() {
         let series = test_series(220);
         let m = 10;
         let exc = m / 2;
         let reference = stamp_with_exclusion(&series, m, exc);
         for threads in [1usize, 2, 3, 8] {
-            let run = rayon::ThreadPoolBuilder::new()
-                .num_threads(threads)
-                .build()
-                .unwrap()
-                .install(|| AnytimeStamp::with_exclusion(&series, m, exc).finish_parallel());
+            let run = on_workers(threads, || {
+                AnytimeStamp::with_exclusion(&series, m, exc).finish()
+            });
             assert_eq!(run.profile, reference.profile, "{threads} threads");
             assert_eq!(run.index, reference.index, "{threads} threads");
         }
@@ -448,7 +402,7 @@ mod tests {
     fn finished_profile_matches_stomp_to_1e6() {
         let series = test_series(250);
         for &m in &[6usize, 12] {
-            let anytime = AnytimeStamp::with_exclusion(&series, m, m / 2).finish_parallel();
+            let anytime = AnytimeStamp::with_exclusion(&series, m, m / 2).finish();
             let stomp = crate::stomp::stomp_with_exclusion(&series, m, m / 2);
             for i in 0..anytime.len() {
                 assert!(
@@ -533,7 +487,7 @@ mod tests {
         let series = vec![1.0, 2.0, 3.0];
         let mut driver = AnytimeStamp::with_exclusion(&series, 3, 1);
         assert_eq!(driver.window_count(), 1);
-        let mp = driver.finish_parallel();
+        let mp = on_workers(4, || driver.finish());
         assert!(mp.profile[0].is_infinite());
         assert_eq!(mp.index[0], usize::MAX);
     }
@@ -614,11 +568,11 @@ mod tests {
         let reference = stamp_with_exclusion(&series, m, exc);
         let mut driver = AnytimeStamp::with_backend(&series, m, exc, 0, MassBackend::Segmented);
         assert_eq!(driver.backend(), MassBackend::Segmented);
-        // Interleave stepping modes; finish_parallel must fall back to
-        // the sequential rolled path and still complete.
+        // Interleave stepping modes; a multi-worker finish must keep the
+        // in-order rolled path and still complete.
         driver.run_for(40);
         let partial = driver.snapshot();
-        let finished = driver.finish_parallel();
+        let finished = on_workers(4, || driver.finish());
         assert!(driver.is_done());
         for i in 0..finished.len() {
             assert!(
@@ -633,15 +587,5 @@ mod tests {
                 "entry {i}"
             );
         }
-    }
-
-    #[test]
-    fn stamp_parallel_wrappers() {
-        let series = test_series(120);
-        let a = stamp_parallel(&series, 8);
-        let b = stamp_with_exclusion(&series, 8, 4);
-        assert_eq!(a.profile, b.profile);
-        assert_eq!(a.index, b.index);
-        assert_eq!(a.exclusion, 4);
     }
 }

@@ -27,14 +27,15 @@
 //!   (bit-deterministic for every thread count); the implementation the
 //!   paper benchmarks against (Fig. 8).
 //! * [`mod@stamp`] — STAMP \[21\]: MASS-per-query matrix profile, running on
-//!   the shared spectrum.
+//!   the shared spectrum. Batch STAMP and every driver's `finish` share
+//!   one query fold, which fans out over the current rayon pool's
+//!   workers; a one-worker pool is the serial run.
 //! * [`anytime`] — [`AnytimeStamp`]: STAMP's anytime property as a
 //!   first-class API — seeded random query order, deadline-style
 //!   stepping (query budgets, wall-clock [`anytime::Deadline`]s) with
-//!   monotonically converging snapshots, and a rayon-parallel batch
-//!   mode; finished profiles are bit-identical to sequential
-//!   [`stamp()`](stamp::stamp) for every seed, permutation, and worker
-//!   count.
+//!   monotonically converging snapshots; finished profiles are
+//!   bit-identical to [`stamp()`](stamp::stamp) for every seed,
+//!   permutation, and worker count.
 //! * [`streaming`] — [`StreamingDiscordMonitor`]: online
 //!   (append-to-series) discord monitoring — ingest points, refresh the
 //!   profile under a hard latency budget, answer "best discords so
@@ -48,7 +49,7 @@
 //! # The `(distance, index)` tie-break contract
 //!
 //! Every profile fold in this crate — STOMP's diagonal merge, STAMP's
-//! per-query fold, the anytime/parallel partial-profile merges, the
+//! per-query fold, the per-worker partial-profile merges, the
 //! streaming monitor's carry-over — goes through one rule,
 //! [`profile::improves`]: candidate `(d, idx)` wins iff it is strictly
 //! smaller under the total order *distance first, neighbor index
@@ -86,7 +87,7 @@ pub mod stamp;
 pub mod stomp;
 pub mod streaming;
 
-pub use anytime::{stamp_parallel, AnytimeStamp, Deadline};
+pub use anytime::{AnytimeStamp, Deadline};
 pub use detector::{DiscordConfig, DiscordDetector};
 pub use fft::{FftPlan, RealFftPlan};
 pub use hotsax::{hotsax_discord, hotsax_discords};

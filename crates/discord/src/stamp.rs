@@ -5,7 +5,8 @@
 //! (profiles converge monotonically as more queries are processed); we use
 //! it as a cross-check of STOMP and in the matrix profile ablation bench.
 //!
-//! The production path runs on [`MassPrecomputed`]: the series spectrum
+//! The production path runs on
+//! [`MassPrecomputed`](crate::mass::MassPrecomputed): the series spectrum
 //! is transformed once and every query is answered against it with two
 //! half-size real transforms, instead of re-transforming the series per
 //! query. [`stamp_per_query_fft`] preserves the naive
@@ -13,31 +14,18 @@
 //! specification and the bench baseline; the two are pinned to agree to
 //! 1e-9 by the property tests.
 
+use rayon::prelude::*;
+
 use crate::dist::WindowStats;
-use crate::mass::{mass_self, MassPrecomputed, MassScratch};
-use crate::mass_seg::{MassBackend, SegScratch, SegmentedMass};
-use crate::profile::{improves, MatrixProfile};
+use crate::mass::{mass_self, MassScratch};
+use crate::mass_seg::{EngineScratch, MassBackend, MassEngine};
+use crate::profile::{improves, merge_min_into, MatrixProfile};
 use crate::stomp::default_exclusion;
 
 /// Computes the matrix profile via STAMP with exclusion half-width
 /// `exclusion`, on the shared-spectrum MASS path.
 pub fn stamp_with_exclusion(series: &[f64], m: usize, exclusion: usize) -> MatrixProfile {
-    let mass = MassPrecomputed::new(series, m);
-    let count = mass.window_count();
-    let mut profile = vec![f64::INFINITY; count];
-    let mut index = vec![usize::MAX; count];
-    let mut scratch = MassScratch::default();
-    let mut dp = Vec::new();
-    for q in 0..count {
-        mass.distance_profile_into(q, &mut scratch, &mut dp);
-        update_from_profile(q, &dp, exclusion, &mut profile, &mut index);
-    }
-    MatrixProfile {
-        m,
-        exclusion,
-        profile,
-        index,
-    }
+    stamp_with_backend(series, m, exclusion, MassBackend::Exact)
 }
 
 /// STAMP with the default `m/2` exclusion zone.
@@ -60,24 +48,75 @@ pub fn stamp_with_backend(
     exclusion: usize,
     backend: MassBackend,
 ) -> MatrixProfile {
-    match backend {
-        MassBackend::Exact => stamp_with_exclusion(series, m, exclusion),
-        MassBackend::Segmented => {
-            let seg = SegmentedMass::new(series, m);
-            let count = seg.window_count();
-            let mut profile = vec![f64::INFINITY; count];
-            let mut index = vec![usize::MAX; count];
-            let mut scratch = SegScratch::default();
-            let mut dp = Vec::new();
-            for q in 0..count {
-                seg.rolling_profile_into(q, &mut scratch, &mut dp);
-                update_from_profile(q, &dp, exclusion, &mut profile, &mut index);
+    let engine = MassEngine::new(series, m, backend);
+    let count = engine.window_count();
+    let queries: Vec<usize> = (0..count).collect();
+    let mut profile = vec![f64::INFINITY; count];
+    let mut index = vec![usize::MAX; count];
+    fold_queries(
+        &engine,
+        &queries,
+        exclusion,
+        &mut EngineScratch::default(),
+        &mut profile,
+        &mut index,
+    );
+    MatrixProfile {
+        m,
+        exclusion,
+        profile,
+        index,
+    }
+}
+
+/// Folds the distance profile of every query in `queries` into
+/// `profile` / `index` — the one query loop behind batch STAMP and the
+/// `finish` of every anytime and streaming driver.
+///
+/// On the exact engine, with more than one rayon worker and more than
+/// one query, the queries are split into one chunk per worker; each
+/// worker folds its chunk into its own partial profile and the partials
+/// merge under [`merge_min_into`]. The fold is a min under a total
+/// order, so the result is bit-identical to the in-order fold for every
+/// worker count. Otherwise the queries run in the given order on
+/// `scratch`, which the segmented engine needs: each of its queries
+/// rolls from its predecessor's covariance row.
+pub(crate) fn fold_queries(
+    engine: &MassEngine,
+    queries: &[usize],
+    exclusion: usize,
+    scratch: &mut EngineScratch,
+    profile: &mut [f64],
+    index: &mut [usize],
+) {
+    let threads = rayon::current_num_threads();
+    match engine {
+        MassEngine::Exact(mass) if threads > 1 && queries.len() > 1 => {
+            let count = profile.len();
+            let chunks: Vec<&[usize]> = queries.chunks(queries.len().div_ceil(threads)).collect();
+            let partials: Vec<(Vec<f64>, Vec<usize>)> = chunks
+                .into_par_iter()
+                .map(|chunk| {
+                    let mut scratch = MassScratch::default();
+                    let mut dp = Vec::new();
+                    let mut profile = vec![f64::INFINITY; count];
+                    let mut index = vec![usize::MAX; count];
+                    for &q in chunk {
+                        mass.distance_profile_into(q, &mut scratch, &mut dp);
+                        update_from_profile(q, &dp, exclusion, &mut profile, &mut index);
+                    }
+                    (profile, index)
+                })
+                .collect();
+            for (partial_profile, partial_index) in partials {
+                merge_min_into(profile, index, &partial_profile, &partial_index);
             }
-            MatrixProfile {
-                m,
-                exclusion,
-                profile,
-                index,
+        }
+        _ => {
+            let mut dp = Vec::new();
+            for &q in queries {
+                engine.distance_profile_into(q, scratch, &mut dp);
+                update_from_profile(q, &dp, exclusion, profile, index);
             }
         }
     }
@@ -112,11 +151,11 @@ pub fn stamp_per_query_fft(series: &[f64], m: usize, exclusion: usize) -> Matrix
 /// The `(distance, index)` tie-break matters here: with a strict `<`
 /// fold, the index vector would depend on the order queries are
 /// processed in (ties keep whichever query arrived first) — breaking
-/// the anytime/parallel STAMP contract and disagreeing with STOMP on
-/// exact ties. The lexicographic fold is order-independent, so STAMP,
-/// anytime STAMP in any permutation, and parallel STAMP at any thread
-/// count all land on the same index vector. Shared with
-/// [`crate::anytime`].
+/// the anytime STAMP contract and disagreeing with STOMP on exact ties.
+/// The lexicographic fold is order-independent, so STAMP in any query
+/// permutation and at any worker count lands on the same index vector.
+/// Called by [`fold_queries`] and by the single-query `step`s of the
+/// anytime and streaming drivers.
 pub(crate) fn update_from_profile(
     q: usize,
     dp: &[f64],
@@ -272,6 +311,27 @@ mod tests {
         }
         // Top discord agrees (this fixture has no near-tie at the top).
         assert_eq!(seg.discords(1)[0].start, reference.discords(1)[0].start);
+    }
+
+    /// The batch fold fans out over the pool's workers; every worker
+    /// count lands on the one-worker profile and index bit for bit.
+    #[test]
+    fn stamp_is_identical_on_every_worker_count() {
+        let series = test_series(120);
+        let on_workers = |threads| {
+            rayon::ThreadPoolBuilder::new()
+                .num_threads(threads)
+                .build()
+                .unwrap()
+                .install(|| stamp(&series, 8))
+        };
+        let serial = on_workers(1);
+        assert_eq!(serial.exclusion, 4);
+        for threads in [2usize, 3, 8] {
+            let run = on_workers(threads);
+            assert_eq!(run.profile, serial.profile, "{threads} workers");
+            assert_eq!(run.index, serial.index, "{threads} workers");
+        }
     }
 
     #[test]

@@ -99,8 +99,8 @@
 //!   the stale carry is dropped and the snapshot equals the exact fold;
 //!   entries may move by FFT round-off (≤ ~1e-9) at that transition,
 //!   which is the only departure from bitwise monotonicity.
-//! * [`StreamingDiscordMonitor::finish`] (and `finish_parallel`, for
-//!   every rayon worker count) returns a profile bit-identical to
+//! * [`StreamingDiscordMonitor::finish`] returns, for every rayon
+//!   worker count, a profile bit-identical to
 //!   [`stamp_with_exclusion`](crate::stamp::stamp_with_exclusion) on
 //!   the full series — property-tested across append schedules, seeds,
 //!   chunk sizes, and thread counts.
@@ -164,13 +164,12 @@ use egi_tskit::session::StreamClock;
 /// from [`egi_tskit::session`]: import it to drive the monitor
 /// generically (e.g. from an `egi-serve` fleet).
 pub use egi_tskit::session::StreamSession;
-use rayon::prelude::*;
 
 use crate::anytime::pseudo_random_order;
-use crate::mass::{MassPrecomputed, MassScratch};
+use crate::mass::MassPrecomputed;
 use crate::mass_seg::{EngineScratch, MassBackend, MassEngine, SegmentedMass, MAX_ROLL_CHAIN};
 use crate::profile::{merge_min_into, Discord, MatrixProfile};
-use crate::stamp::update_from_profile;
+use crate::stamp::{fold_queries, update_from_profile};
 use crate::stomp::default_exclusion;
 
 /// Seed used by [`StreamingDiscordMonitor::new`] when the caller does
@@ -704,61 +703,34 @@ impl StreamingDiscordMonitor {
     /// Processes every pending query and returns the finished profile —
     /// bit-identical to
     /// [`stamp_with_exclusion`](crate::stamp::stamp_with_exclusion) on
-    /// the full ingested series.
+    /// the full ingested series, for every rayon worker count.
+    ///
+    /// On the exact backend the pending queries fan out over the
+    /// current rayon pool's workers (per-worker partial folds merged
+    /// under the shared rule, as in
+    /// [`crate::anytime::AnytimeStamp::finish`]); the segmented backend
+    /// folds them in order on the rolled path. Session counters advance
+    /// exactly as if every query had been [`step`](Self::step)ped.
     pub fn finish(&mut self) -> MatrixProfile {
-        while self.step() {}
-        self.snapshot()
-    }
-
-    /// Like [`StreamingDiscordMonitor::finish`], but fans the pending
-    /// queries out across rayon workers (per-worker partial folds
-    /// merged under the shared rule, as in
-    /// [`crate::anytime::AnytimeStamp::finish_parallel`]) —
-    /// bit-identical to the sequential result for every worker count.
-    pub fn finish_parallel(&mut self) -> MatrixProfile {
-        let threads = rayon::current_num_threads();
-        if self.mass.is_none() || threads <= 1 || self.pending.len() <= 1 {
-            return self.finish();
-        }
-        let Some(MassEngine::Exact(mass)) = self.mass.as_ref() else {
-            // Segmented queries roll sequentially from their
-            // predecessor's covariance row; fanning them out would
-            // force an FFT reseed per worker chunk and lose the point.
-            return self.finish();
+        let Some(mass) = &self.mass else {
+            return self.snapshot();
         };
-        let remaining: Vec<usize> = self.pending.drain(..).collect();
-        let count = mass.window_count();
-        let exclusion = self.exclusion;
-        let chunk_len = remaining.len().div_ceil(threads);
-        let partials: Vec<(Vec<f64>, Vec<usize>)> = remaining
-            .chunks(chunk_len)
-            .map(<[usize]>::to_vec)
-            .collect::<Vec<_>>()
-            .into_par_iter()
-            .map(|chunk| {
-                let mut scratch = MassScratch::default();
-                let mut dp = Vec::new();
-                let mut profile = vec![f64::INFINITY; count];
-                let mut index = vec![usize::MAX; count];
-                for q in chunk {
-                    mass.distance_profile_into(q, &mut scratch, &mut dp);
-                    update_from_profile(q, &dp, exclusion, &mut profile, &mut index);
-                }
-                (profile, index)
-            })
-            .collect();
-        for (profile, index) in partials {
-            merge_min_into(
-                &mut self.fold_profile,
-                &mut self.fold_index,
-                &profile,
-                &index,
-            );
+        if self.pending.is_empty() {
+            return self.snapshot();
         }
-        self.stats.steps += remaining.len() as u64;
+        let queries: Vec<usize> = self.pending.drain(..).collect();
+        fold_queries(
+            mass,
+            &queries,
+            self.exclusion,
+            &mut self.scratch,
+            &mut self.fold_profile,
+            &mut self.fold_index,
+        );
+        self.stats.steps += queries.len() as u64;
         self.stats.caught_up += 1;
         self.stats.staleness_points = 0;
-        self.done.extend(remaining);
+        self.done.extend(queries);
         self.carry = None;
         self.snapshot()
     }
@@ -1052,7 +1024,7 @@ mod tests {
     }
 
     #[test]
-    fn parallel_finish_deterministic_across_thread_counts() {
+    fn finish_deterministic_across_worker_counts() {
         let series = test_series(220);
         let m = 9;
         let exc = m / 2;
@@ -1067,9 +1039,43 @@ mod tests {
                 .num_threads(threads)
                 .build()
                 .unwrap()
-                .install(|| monitor.finish_parallel());
+                .install(|| monitor.finish());
             assert_eq!(finished.profile, reference.profile, "{threads} threads");
             assert_eq!(finished.index, reference.index, "{threads} threads");
+        }
+    }
+
+    /// `finish` folds the backlog in one bulk call; its session
+    /// counters must match a monitor that stepped through the same
+    /// backlog one query at a time, on one worker and on several.
+    #[test]
+    fn bulk_finish_keeps_the_counters_of_stepping() {
+        let series = test_series(300);
+        let drive = |monitor: &mut StreamingDiscordMonitor| {
+            for (i, part) in series.chunks(40).enumerate() {
+                monitor.append(part);
+                monitor.run_for(7);
+                if i == 3 {
+                    monitor.evict(50).unwrap();
+                }
+            }
+        };
+        for threads in [1usize, 4] {
+            let mut bulk = StreamingDiscordMonitor::new(10);
+            let mut stepped = StreamingDiscordMonitor::new(10);
+            drive(&mut bulk);
+            drive(&mut stepped);
+            assert!(bulk.pending() > 1, "a real backlog to drain");
+            let finished = rayon::ThreadPoolBuilder::new()
+                .num_threads(threads)
+                .build()
+                .unwrap()
+                .install(|| bulk.finish());
+            stepped.run_for(usize::MAX);
+            let snapshot = stepped.snapshot();
+            assert_eq!(bulk.metrics(), stepped.metrics(), "{threads} workers");
+            assert_eq!(finished.profile, snapshot.profile, "{threads} workers");
+            assert_eq!(finished.index, snapshot.index, "{threads} workers");
         }
     }
 
@@ -1493,7 +1499,7 @@ mod tests {
     }
 
     #[test]
-    fn segmented_finish_parallel_falls_back_to_sequential() {
+    fn segmented_multi_worker_finish_keeps_the_rolled_path() {
         let series = test_series(240);
         let m = 8;
         let exc = m / 2;
@@ -1515,8 +1521,9 @@ mod tests {
             .num_threads(4)
             .build()
             .unwrap()
-            .install(|| a.finish_parallel());
-        let seq = b.finish();
+            .install(|| a.finish());
+        while b.step() {}
+        let seq = b.snapshot();
         // Identical (not merely toleranced): same sequential rolled path.
         assert_eq!(par.profile, seq.profile);
         assert_eq!(par.index, seq.index);

@@ -129,8 +129,9 @@ proptest! {
         prop_assert_eq!(&after.index, &snap.index);
     }
 
-    /// The parallel finish stays bit-identical to the suffix batch for
-    /// every worker count, with an eviction landing mid-stream.
+    /// A multi-worker finish stays bit-identical to the one-worker
+    /// suffix batch for every worker count, with an eviction landing
+    /// mid-stream.
     #[test]
     fn parallel_finish_after_eviction_matches_suffix_batch(
         m in 4usize..10,
@@ -154,8 +155,13 @@ proptest! {
             .num_threads(threads)
             .build()
             .unwrap()
-            .install(|| monitor.finish_parallel());
-        let reference = stamp_with_exclusion(&series[cut..], m, exc);
+            .install(|| monitor.finish());
+        // The serial reference: batch STAMP on a one-worker pool.
+        let reference = rayon::ThreadPoolBuilder::new()
+            .num_threads(1)
+            .build()
+            .unwrap()
+            .install(|| stamp_with_exclusion(&series[cut..], m, exc));
         prop_assert_eq!(&finished.profile, &reference.profile);
         prop_assert_eq!(&finished.index, &reference.index);
     }

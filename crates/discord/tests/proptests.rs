@@ -154,9 +154,9 @@ proptest! {
         }
     }
 
-    /// Parallel STAMP is bit-identical to sequential STAMP for every
-    /// worker count, seed, and partial sequential prefix (mixing
-    /// `run_for` stepping with a parallel finish).
+    /// A multi-worker anytime finish is bit-identical to one-worker
+    /// batch STAMP for every worker count, seed, and partial stepped
+    /// prefix (mixing `run_for` stepping with a fanned-out finish).
     #[test]
     fn anytime_parallel_finish_deterministic(
         series in series_strategy(),
@@ -167,14 +167,19 @@ proptest! {
     ) {
         prop_assume!(series.len() >= 2 * m);
         let exc = m / 2;
-        let reference = stamp_with_exclusion(&series, m, exc);
+        // The serial reference: batch STAMP on a one-worker pool.
+        let reference = rayon::ThreadPoolBuilder::new()
+            .num_threads(1)
+            .build()
+            .unwrap()
+            .install(|| stamp_with_exclusion(&series, m, exc));
         let mut driver = AnytimeStamp::with_seed(&series, m, exc, seed);
         driver.run_for(driver.window_count() * prefix_pct / 100);
         let finished = rayon::ThreadPoolBuilder::new()
             .num_threads(threads)
             .build()
             .unwrap()
-            .install(|| driver.finish_parallel());
+            .install(|| driver.finish());
         prop_assert_eq!(&finished.profile, &reference.profile);
         prop_assert_eq!(&finished.index, &reference.index);
     }
@@ -272,8 +277,9 @@ proptest! {
         prop_assert_eq!(&finished.index, &reference.index);
     }
 
-    /// The streaming monitor's parallel finish is bit-identical to the
-    /// batch profile for every worker count and append schedule.
+    /// The streaming monitor's multi-worker finish is bit-identical to
+    /// the one-worker batch profile for every worker count and append
+    /// schedule.
     #[test]
     fn streaming_parallel_finish_deterministic(
         series in series_strategy(),
@@ -284,7 +290,12 @@ proptest! {
     ) {
         prop_assume!(series.len() >= 2 * m);
         let exc = m / 2;
-        let reference = stamp_with_exclusion(&series, m, exc);
+        // The serial reference: batch STAMP on a one-worker pool.
+        let reference = rayon::ThreadPoolBuilder::new()
+            .num_threads(1)
+            .build()
+            .unwrap()
+            .install(|| stamp_with_exclusion(&series, m, exc));
         let mut monitor = StreamingDiscordMonitor::with_seed(m, exc, seed);
         for part in series.chunks(chunk) {
             monitor.append(part);
@@ -294,7 +305,7 @@ proptest! {
             .num_threads(threads)
             .build()
             .unwrap()
-            .install(|| monitor.finish_parallel());
+            .install(|| monitor.finish());
         prop_assert_eq!(&finished.profile, &reference.profile);
         prop_assert_eq!(&finished.index, &reference.index);
     }

@@ -87,6 +87,14 @@ pub enum FleetError {
         /// The session's rejection.
         error: EvictError,
     },
+    /// [`Fleet::ingest`] or [`Fleet::append_to`] was handed a NaN or
+    /// infinite point; nothing of the call was buffered or appended.
+    NonFinite {
+        /// The stream the points were sent to.
+        id: StreamId,
+        /// Position of the first non-finite point in the call's slice.
+        index: usize,
+    },
 }
 
 impl fmt::Display for FleetError {
@@ -95,11 +103,24 @@ impl fmt::Display for FleetError {
             Self::UnknownStream { id } => write!(f, "unknown stream {id}"),
             Self::DuplicateStream { id } => write!(f, "stream {id} already exists"),
             Self::Evict { id, error } => write!(f, "eviction rejected on stream {id}: {error}"),
+            Self::NonFinite { id, index } => {
+                write!(f, "point {index} sent to stream {id} is not finite")
+            }
         }
     }
 }
 
 impl std::error::Error for FleetError {}
+
+/// The front-door guard of [`Fleet::ingest`] and [`Fleet::append_to`]:
+/// a non-finite point would panic an ensemble session at its next
+/// append and silently corrupt a discord session's profile.
+fn reject_non_finite(id: StreamId, points: &[f64]) -> Result<(), FleetError> {
+    match points.iter().position(|v| !v.is_finite()) {
+        Some(index) => Err(FleetError::NonFinite { id, index }),
+        None => Ok(()),
+    }
+}
 
 /// What one [`Fleet::tick`] did: ingest buffers flushed, then refresh
 /// units run under the tick's deadline.
@@ -296,8 +317,10 @@ impl<S: StreamSession> Fleet<S> {
     ///
     /// # Errors
     ///
+    /// [`FleetError::NonFinite`] when a point is NaN or infinite, then
     /// [`FleetError::UnknownStream`] when `id` is not live.
     pub fn append_to(&mut self, id: StreamId, points: &[f64]) -> Result<(), FleetError> {
+        reject_non_finite(id, points)?;
         self.flush(id)?;
         let slot = self.slots.get_mut(&id).expect("flush checked liveness");
         slot.session.append(points);
@@ -311,8 +334,10 @@ impl<S: StreamSession> Fleet<S> {
     ///
     /// # Errors
     ///
+    /// [`FleetError::NonFinite`] when a point is NaN or infinite, then
     /// [`FleetError::UnknownStream`] when `id` is not live.
     pub fn ingest(&mut self, id: StreamId, points: &[f64]) -> Result<(), FleetError> {
+        reject_non_finite(id, points)?;
         let slot = self
             .slots
             .get_mut(&id)
@@ -1180,6 +1205,58 @@ mod tests {
         }
     }
 
+    /// Feeds `series` to stream 0 of a one-stream fleet around two
+    /// rejected non-finite calls (one `ingest`, one `append_to`) and
+    /// returns the stream's finished report.
+    fn finish_around_non_finite_calls<S: StreamSession>(session: S, series: &[f64]) -> S::Report {
+        let mut fleet = Fleet::new();
+        fleet.create(0, session).unwrap();
+        let (head, tail) = series.split_at(series.len() / 2);
+        fleet.ingest(0, head).unwrap();
+        let before = fleet.metrics();
+        let mut bad = tail[..6].to_vec();
+        bad[4] = f64::NAN;
+        assert_eq!(
+            fleet.ingest(0, &bad),
+            Err(FleetError::NonFinite { id: 0, index: 4 })
+        );
+        bad[4] = f64::NEG_INFINITY;
+        assert_eq!(
+            fleet.append_to(0, &bad),
+            Err(FleetError::NonFinite { id: 0, index: 4 })
+        );
+        // Nothing was buffered, flushed, or counted.
+        assert_eq!(fleet.buffered_for(0), Ok(head.len()));
+        assert_eq!(fleet.metrics(), before);
+        fleet.tick(Deadline::unbounded());
+        fleet.ingest(0, tail).unwrap();
+        fleet.finish(0).unwrap()
+    }
+
+    #[test]
+    fn non_finite_points_are_rejected_at_the_front_door() {
+        let series: Vec<f64> = (0..240)
+            .map(|i| (i as f64 * 0.3).sin() + ((i * 7) % 5) as f64 * 0.1)
+            .collect();
+
+        let monitor = egi_discord::StreamingDiscordMonitor::new(12);
+        let profile = finish_around_non_finite_calls(monitor, &series);
+        let batch = egi_discord::stamp(&series, 12);
+        assert_eq!(profile.profile, batch.profile);
+        assert_eq!(profile.index, batch.index);
+
+        let config = egi_core::EnsembleConfig {
+            window: 24,
+            ensemble_size: 5,
+            ..egi_core::EnsembleConfig::default()
+        };
+        let detector = egi_core::StreamingEnsembleDetector::new(config, 3);
+        let report = finish_around_non_finite_calls(detector, &series);
+        let k = series.len() - 24 + 1;
+        let batch = egi_core::EnsembleDetector::new(config).detect(&series, k, 3);
+        assert_eq!(report, batch);
+    }
+
     #[test]
     fn fleet_error_display_names_the_stream() {
         let e = FleetError::Evict {
@@ -1196,5 +1273,8 @@ mod tests {
         assert!(FleetError::DuplicateStream { id: 4 }
             .to_string()
             .contains('4'));
+        assert!(FleetError::NonFinite { id: 5, index: 2 }
+            .to_string()
+            .contains("stream 5"));
     }
 }

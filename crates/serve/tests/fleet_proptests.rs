@@ -291,7 +291,6 @@ proptest! {
         let cfg = EnsembleConfig {
             window,
             ensemble_size: members,
-            parallel: true,
             ..EnsembleConfig::default()
         };
         let total = window * 6;
