@@ -7,6 +7,9 @@
 //! windowed reading of "find the minima and rank by density value" and is
 //! robust to single-point dips; ties break toward the earlier window.
 
+use std::cmp::Ordering;
+use std::collections::BinaryHeap;
+
 use egi_tskit::stats::PrefixStats;
 use egi_tskit::window::{intervals_overlap, window_count};
 
@@ -49,44 +52,79 @@ impl AnomalyReport {
 /// Extracts up to `k` non-overlapping windows of length `n` with the
 /// lowest mean density from `curve`.
 ///
-/// Greedy by ascending score: the best window is taken, every window
-/// overlapping it is discarded, and so on — `O(N log N)`.
+/// Greedy by ascending score, ties toward the earlier window: the best
+/// window is taken, every window overlapping it is discarded, and so
+/// on. The windows sit in a binary min-heap that is popped only until
+/// `k` are taken, so finding them costs `O(N + p log N)` for `p` pops
+/// instead of a full `O(N log N)` sort.
+///
+/// # Panics
+///
+/// Panics if a window's mean density is NaN (the curve holds a
+/// non-finite value) and more than one window fits.
 pub fn rank_anomalies(curve: &[f64], n: usize, k: usize) -> Vec<Candidate> {
     let count = window_count(curve.len(), n);
     if count == 0 || k == 0 {
         return Vec::new();
     }
     let ps = PrefixStats::new(curve);
-    let mut order: Vec<usize> = (0..count).collect();
-    // Cache scores; sort ascending with index tiebreak for determinism.
-    let scores: Vec<f64> = (0..count)
-        .map(|s| ps.range_sum(s, s + n) / n as f64)
+    let mut heap: BinaryHeap<Window> = (0..count)
+        .map(|start| Window {
+            score: ps.range_sum(start, start + n) / n as f64,
+            start,
+        })
         .collect();
-    order.sort_by(|&x, &y| {
-        scores[x]
-            .partial_cmp(&scores[y])
-            .expect("density scores are finite")
-            .then(x.cmp(&y))
-    });
 
     let mut picked: Vec<Candidate> = Vec::with_capacity(k);
-    for s in order {
-        if picked.len() == k {
+    while picked.len() < k {
+        let Some(Window { score, start }) = heap.pop() else {
             break;
-        }
+        };
         if picked
             .iter()
-            .all(|c| !intervals_overlap(c.start, c.len, s, n))
+            .all(|c| !intervals_overlap(c.start, c.len, start, n))
         {
             picked.push(Candidate {
-                start: s,
+                start,
                 len: n,
-                score: scores[s],
+                score,
             });
         }
     }
     picked
 }
+
+/// A scored window in [`rank_anomalies`]' heap, ordered so that the
+/// max-heap pops the lowest score first and, among equal scores, the
+/// earliest start.
+struct Window {
+    score: f64,
+    start: usize,
+}
+
+impl Ord for Window {
+    fn cmp(&self, other: &Self) -> Ordering {
+        other
+            .score
+            .partial_cmp(&self.score)
+            .expect("density scores are finite")
+            .then(other.start.cmp(&self.start))
+    }
+}
+
+impl PartialOrd for Window {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl PartialEq for Window {
+    fn eq(&self, other: &Self) -> bool {
+        self.cmp(other) == Ordering::Equal
+    }
+}
+
+impl Eq for Window {}
 
 #[cfg(test)]
 mod tests {

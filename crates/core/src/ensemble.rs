@@ -11,6 +11,23 @@
 //! [`crate::runtime`] since they are fully independent, so the current
 //! rayon pool's worker count decides the parallelism and never the
 //! result.
+//!
+//! # The combine kernel
+//!
+//! Combining (lines 7–14) runs on every detection and on every streaming
+//! [snapshot](crate::StreamingEnsembleDetector::snapshot), so it reads
+//! the member curves in place instead of copying them. σ is summed over
+//! each curve and then over its implicit zero padding, in point order,
+//! eight curves in lockstep to overlap their independent add chains.
+//! The kept curves are combined in blocks of eight points: each curve's
+//! block is divided by the curve's maximum, and a compare-exchange
+//! network (Batcher's odd-even merge sort: 103 comparators for the
+//! paper's 20 kept curves) sorts every lane of the block at once. The
+//! median, min and max are read off the sorted positions; the mean
+//! sums each lane over the kept curves in order. Every division, sum
+//! and selected value is the one the straightforward per-point version
+//! makes, so the result is bit-identical to it;
+//! `tests/combine_proptests.rs` keeps that version as the oracle.
 
 use egi_sax::{FastSax, MultiResBreakpoints, SaxConfig};
 use rand::rngs::StdRng;
@@ -38,32 +55,6 @@ pub enum Combiner {
     /// Point-wise maximum (conservative: any member covering a point
     /// counts it as covered).
     Max,
-}
-
-impl Combiner {
-    fn combine(self, column: &mut [f64]) -> f64 {
-        debug_assert!(!column.is_empty());
-        match self {
-            Combiner::Median => {
-                let mid = column.len() / 2;
-                column
-                    .select_nth_unstable_by(mid, |x, y| x.partial_cmp(y).expect("finite density"));
-                let hi = column[mid];
-                if column.len() % 2 == 1 {
-                    hi
-                } else {
-                    let lo = column[..mid]
-                        .iter()
-                        .cloned()
-                        .fold(f64::NEG_INFINITY, f64::max);
-                    0.5 * (lo + hi)
-                }
-            }
-            Combiner::Mean => column.iter().sum::<f64>() / column.len() as f64,
-            Combiner::Min => column.iter().cloned().fold(f64::INFINITY, f64::min),
-            Combiner::Max => column.iter().cloned().fold(f64::NEG_INFINITY, f64::max),
-        }
-    }
 }
 
 /// Configuration of the ensemble detector (paper defaults in
@@ -185,31 +176,51 @@ impl EnsembleDetector {
 
     /// Filtering + normalization + combination (Algorithm 1 lines 7–14),
     /// exposed separately so tests and ablations can inject curves.
+    ///
+    /// The curves are read in place: only the output curve is
+    /// allocated. σ is summed in each curve's point order, so the τ
+    /// filter sees exactly [`RuleDensityCurve::stddev`]. The kept curves
+    /// are then combined eight points at a time: each kept curve's
+    /// block is divided by its maximum and the median is read off a
+    /// Batcher compare-exchange network applied lane-wise, so the
+    /// result is bit-identical to normalizing copies and selecting the
+    /// median point by point (see the [module docs](self)).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `curves` is empty, if the curves differ in length, or
+    /// if there is more than one curve and one holds a non-finite value
+    /// (its σ is NaN and cannot be ranked).
     pub fn combine_curves(&self, curves: Vec<RuleDensityCurve>) -> RuleDensityCurve {
         assert!(!curves.is_empty(), "no ensemble members");
         let len = curves[0].len();
-        debug_assert!(curves.iter().all(|c| c.len() == len));
+        assert!(
+            curves.iter().all(|c| c.len() == len),
+            "ensemble member curves differ in length"
+        );
+        let rows: Vec<&[f64]> = curves.iter().map(|c| c.values.as_slice()).collect();
+        self.combine_rows(&rows, len)
+    }
 
-        let stds: Vec<f64> = curves.iter().map(RuleDensityCurve::stddev).collect();
-        let order = self.rank_members(&stds);
-        let keep = order.len();
-
-        // Normalize the kept curves (line 11).
-        let mut kept: Vec<RuleDensityCurve> = order.iter().map(|&i| curves[i].clone()).collect();
-        for c in kept.iter_mut() {
-            c.normalize_by_max();
+    /// [`combine_curves`](Self::combine_curves) over borrowed member
+    /// rows, each read as if zero-padded to `len` points — bit-identical
+    /// to padding copies of the rows and combining those. This is how a
+    /// streaming snapshot serves a stale member's shorter curve.
+    pub(crate) fn combine_rows(&self, rows: &[&[f64]], len: usize) -> RuleDensityCurve {
+        assert!(!rows.is_empty(), "no ensemble members");
+        assert!(
+            rows.iter().all(|r| r.len() <= len),
+            "member curve longer than the combined length"
+        );
+        let stds = padded_stddevs(rows, len);
+        let kept: Vec<KeptRow<'_>> = self
+            .rank_members(&stds)
+            .into_iter()
+            .map(|i| KeptRow::new(rows[i]))
+            .collect();
+        RuleDensityCurve {
+            values: combine_kept(self.config.combiner, &kept, len),
         }
-
-        // Point-wise combination (line 14).
-        let mut values = Vec::with_capacity(len);
-        let mut column = vec![0.0f64; keep];
-        for t in 0..len {
-            for (slot, c) in column.iter_mut().zip(&kept) {
-                *slot = c.values[t];
-            }
-            values.push(self.config.combiner.combine(&mut column));
-        }
-        RuleDensityCurve { values }
     }
 
     /// Per-member diagnostics: parameters, raw curves, standard
@@ -268,6 +279,178 @@ impl EnsembleDetector {
             curve: curve.values,
         }
     }
+}
+
+/// Rows whose σ sums advance together in [`padded_stddevs`]: their add
+/// chains are independent, so they overlap instead of each waiting on
+/// its own previous add.
+const SIGMA_GROUP: usize = 8;
+
+/// Points combined per block in [`combine_kept`].
+const LANES: usize = 8;
+
+/// Population σ of each row zero-padded to `len` points, bit-identical
+/// to [`RuleDensityCurve::stddev`] on a padded copy: every row's mean
+/// and squared-deviation sums run over its points and then its padding,
+/// in order, exactly as `stddev_population` sums the padded curve.
+fn padded_stddevs(rows: &[&[f64]], len: usize) -> Vec<f64> {
+    fn group_stddevs<const G: usize>(rows: &[&[f64]], len: usize) -> [f64; G] {
+        let rows: [&[f64]; G] = std::array::from_fn(|j| rows[j]);
+        let n = len as f64;
+        let means = padded_sums(rows, len, |_, v| v).map(|s| s / n);
+        padded_sums(rows, len, |j, v| (v - means[j]) * (v - means[j])).map(|s| (s / n).sqrt())
+    }
+
+    if len == 0 {
+        return vec![0.0; rows.len()];
+    }
+    let groups = rows.chunks_exact(SIGMA_GROUP);
+    let rest = groups.remainder();
+    let mut stds: Vec<f64> = groups
+        .flat_map(|group| group_stddevs::<SIGMA_GROUP>(group, len))
+        .collect();
+    stds.extend(rest.chunks(1).flat_map(|row| group_stddevs::<1>(row, len)));
+    stds
+}
+
+/// Per row, the sum of `term(row, value)` over the row's points followed
+/// by its zero padding up to `len`, accumulated in point order from
+/// `-0.0` as `Iterator::sum` does. The rows advance in lockstep over
+/// their common prefix.
+fn padded_sums<const G: usize>(
+    rows: [&[f64]; G],
+    len: usize,
+    term: impl Fn(usize, f64) -> f64,
+) -> [f64; G] {
+    let common = rows.iter().map(|r| r.len()).min().unwrap_or(0);
+    let mut acc = [-0.0f64; G];
+    // `t` is the point index into every row of the group.
+    #[allow(clippy::needless_range_loop)]
+    for t in 0..common {
+        for (j, a) in acc.iter_mut().enumerate() {
+            *a += term(j, rows[j][t]);
+        }
+    }
+    for (j, a) in acc.iter_mut().enumerate() {
+        for &v in &rows[j][common..] {
+            *a += term(j, v);
+        }
+        for _ in rows[j].len()..len {
+            *a += term(j, 0.0);
+        }
+    }
+    acc
+}
+
+/// A kept member row and the divisor that max-normalizes it.
+struct KeptRow<'a> {
+    values: &'a [f64],
+    /// The row's maximum, or `1.0` for a row without a positive value:
+    /// [`RuleDensityCurve::normalize_by_max`] leaves such a row as is,
+    /// and `v / 1.0 == v` exactly.
+    divisor: f64,
+}
+
+impl<'a> KeptRow<'a> {
+    fn new(values: &'a [f64]) -> Self {
+        // Zero padding never raises a maximum that starts at 0.0.
+        let max = values.iter().cloned().fold(0.0f64, f64::max);
+        Self {
+            values,
+            divisor: if max > 0.0 { max } else { 1.0 },
+        }
+    }
+
+    /// Normalized values of points `t0..t0 + LANES`; points past the
+    /// row's end are zero padding.
+    fn load(&self, t0: usize, lanes: &mut [f64; LANES]) {
+        match self.values.get(t0..t0 + LANES) {
+            Some(src) => {
+                let src: &[f64; LANES] = src.try_into().expect("LANES points");
+                *lanes = src.map(|v| v / self.divisor);
+            }
+            None => {
+                for (l, slot) in lanes.iter_mut().enumerate() {
+                    *slot = self.values.get(t0 + l).map_or(0.0, |&v| v / self.divisor);
+                }
+            }
+        }
+    }
+}
+
+/// Point-wise combination of the normalized kept rows (Algorithm 1 line
+/// 14) over `len` points, [`LANES`] points per block.
+///
+/// Median, Min and Max sort each lane with the [`sorting_network`] and
+/// read the order statistics off the sorted positions: the values
+/// `select_nth_unstable` or a min/max fold would pick. Mean sums each
+/// lane over the rows in kept order, as a per-point sum would.
+fn combine_kept(combiner: Combiner, kept: &[KeptRow<'_>], len: usize) -> Vec<f64> {
+    let keep = kept.len();
+    let network = match combiner {
+        Combiner::Mean => Vec::new(),
+        _ => sorting_network(keep),
+    };
+    let mut block = vec![[0.0f64; LANES]; keep];
+    let mut values = Vec::with_capacity(len);
+    for t0 in (0..len).step_by(LANES) {
+        for (lanes, row) in block.iter_mut().zip(kept) {
+            row.load(t0, lanes);
+        }
+        for &(a, b) in &network {
+            let (x, y) = (block[a], block[b]);
+            for l in 0..LANES {
+                let swap = y[l] < x[l];
+                block[a][l] = if swap { y[l] } else { x[l] };
+                block[b][l] = if swap { x[l] } else { y[l] };
+            }
+        }
+        let mid = keep / 2;
+        let out: [f64; LANES] = match combiner {
+            Combiner::Median if keep % 2 == 1 => block[mid],
+            Combiner::Median => std::array::from_fn(|l| 0.5 * (block[mid - 1][l] + block[mid][l])),
+            Combiner::Min => block[0],
+            Combiner::Max => block[keep - 1],
+            Combiner::Mean => {
+                // `Iterator::sum` starts from -0.0.
+                let mut sum = [-0.0f64; LANES];
+                for row in &block {
+                    for (s, &v) in sum.iter_mut().zip(row) {
+                        *s += v;
+                    }
+                }
+                sum.map(|s| s / keep as f64)
+            }
+        };
+        values.extend_from_slice(&out[..LANES.min(len - t0)]);
+    }
+    values
+}
+
+/// The compare-exchange pairs `(lo, hi)` of Batcher's odd-even merge
+/// sort on `n` wires (Batcher, AFIPS 1968); each puts the smaller value
+/// on `lo`. This is the power-of-two network with every comparator
+/// touching a wire `>= n` left out, which sorts any `n`.
+fn sorting_network(n: usize) -> Vec<(usize, usize)> {
+    let mut network = Vec::new();
+    let mut p = 1;
+    while p < n {
+        let mut k = p;
+        while k >= 1 {
+            let mut j = k % p;
+            while j + k < n {
+                for i in 0..k.min(n - j - k) {
+                    if (i + j) / (2 * p) == (i + j + k) / (2 * p) {
+                        network.push((i + j, i + j + k));
+                    }
+                }
+                j += 2 * k;
+            }
+            k /= 2;
+        }
+        p *= 2;
+    }
+    network
 }
 
 #[cfg(test)]
@@ -435,18 +618,61 @@ mod tests {
         assert_eq!(combined.values, vec![1.0, 0.0, 1.0, 1.0]);
     }
 
+    /// Combines single-point columns whose values are already in
+    /// `[0, 1]`, so normalization leaves them as they are.
+    fn combine_column(combiner: Combiner, column: &[f64]) -> f64 {
+        let kept: Vec<KeptRow<'_>> = column
+            .iter()
+            .map(|v| KeptRow {
+                values: std::slice::from_ref(v),
+                divisor: 1.0,
+            })
+            .collect();
+        combine_kept(combiner, &kept, 1)[0]
+    }
+
     #[test]
     fn median_of_even_count_averages_middle_pair() {
-        assert_eq!(Combiner::Median.combine(&mut [1.0, 3.0]), 2.0);
-        assert_eq!(Combiner::Median.combine(&mut [1.0, 2.0, 4.0, 8.0]), 3.0);
-        assert_eq!(Combiner::Median.combine(&mut [5.0, 1.0, 9.0]), 5.0);
+        assert_eq!(combine_column(Combiner::Median, &[0.125, 0.375]), 0.25);
+        assert_eq!(
+            combine_column(Combiner::Median, &[0.125, 0.25, 0.5, 1.0]),
+            0.375
+        );
+        assert_eq!(
+            combine_column(Combiner::Median, &[0.625, 0.125, 1.0]),
+            0.625
+        );
     }
 
     #[test]
     fn mean_min_max_combiners() {
-        assert_eq!(Combiner::Mean.combine(&mut [1.0, 2.0, 3.0]), 2.0);
-        assert_eq!(Combiner::Min.combine(&mut [3.0, 1.0, 2.0]), 1.0);
-        assert_eq!(Combiner::Max.combine(&mut [3.0, 1.0, 2.0]), 3.0);
+        assert_eq!(combine_column(Combiner::Mean, &[0.25, 0.5, 0.75]), 0.5);
+        assert_eq!(combine_column(Combiner::Min, &[0.75, 0.25, 0.5]), 0.25);
+        assert_eq!(combine_column(Combiner::Max, &[0.75, 0.25, 0.5]), 0.75);
+    }
+
+    /// The 0-1 principle: a comparator network sorts every input iff
+    /// it sorts every 0/1 input.
+    #[test]
+    fn sorting_network_sorts_every_binary_input() {
+        for n in 0..=14usize {
+            let network = sorting_network(n);
+            for bits in 0u32..1 << n {
+                let mut wires: Vec<u8> = (0..n).map(|i| (bits >> i & 1) as u8).collect();
+                for &(a, b) in &network {
+                    assert!(a < b && b < n);
+                    if wires[b] < wires[a] {
+                        wires.swap(a, b);
+                    }
+                }
+                assert!(wires.is_sorted(), "n={n} bits={bits:b}");
+            }
+        }
+    }
+
+    #[test]
+    fn sorting_network_of_twenty_has_batchers_size() {
+        assert_eq!(sorting_network(20).len(), 103);
     }
 
     #[test]

@@ -36,10 +36,11 @@
 //!   live curve — no grammar extraction, no occurrence re-enumeration,
 //!   no full-curve rebuild (see *Delta maintenance vs. rebuild* below).
 //!
-//! Member curves combine under the *batch* detector's own
-//! [`EnsembleDetector::combine_curves`] (σ-ranking, τ-filter,
+//! Member curves combine under the *batch* detector's own kernel, the
+//! one behind [`EnsembleDetector::combine_curves`] (σ-ranking, τ-filter,
 //! max-normalization, point-wise combiner), so there is one Algorithm 1
-//! implementation, not two.
+//! implementation, not two. A snapshot borrows the member curves and
+//! reads a stale member's missing tail as zeros; nothing is copied.
 //!
 //! # Delta maintenance vs. rebuild
 //!
@@ -770,18 +771,16 @@ impl StreamingEnsembleDetector {
     /// [`is_current`](Self::is_current), the result is bit-identical to
     /// batch [`EnsembleDetector::ensemble_curve`] on the ingested
     /// series.
+    ///
+    /// The member curves are borrowed, and the padding is implicit:
+    /// nothing is copied, and only the combined curve is allocated.
     pub fn snapshot(&self) -> RuleDensityCurve {
-        let len = self.series.len();
-        let curves: Vec<RuleDensityCurve> = self
+        let rows: Vec<&[f64]> = self
             .members
             .iter()
-            .map(|m| {
-                let mut curve = m.curve.clone();
-                curve.values.resize(len, 0.0);
-                curve
-            })
+            .map(|m| m.curve.values.as_slice())
             .collect();
-        self.detector.combine_curves(curves)
+        self.detector.combine_rows(&rows, self.series.len())
     }
 
     /// Top-`k` non-overlapping anomaly candidates of the current
