@@ -7,11 +7,14 @@
 //! * **STAMP** — full run, naive per-query-FFT path vs shared-spectrum
 //!   path (the ≥ 2× acceptance gate of the shared-spectrum work);
 //! * **STOMP** — diagonal-parallel kernel across worker counts;
-//! * **Anytime STAMP** — convergence trajectory: wall-clock and
-//!   fraction-of-profile-settled at query budgets from 5% to 100%
-//!   (finished run asserted bit-identical to `stamp_with_exclusion`);
-//! * **Parallel STAMP** — `AnytimeStamp::finish` on pools of 1–8
-//!   workers (each asserted bit-identical to the 1-worker profile);
+//! * **Anytime STAMP** — convergence trajectory of a
+//!   `StreamingDiscordMonitor` fed the whole fixture in one append:
+//!   wall-clock and fraction-of-profile-settled at query budgets from
+//!   5% to 100% (finished run asserted bit-identical to
+//!   `stamp_with_exclusion`);
+//! * **Parallel STAMP** — the same one-append monitor's `finish` on
+//!   pools of 1–8 workers (each asserted bit-identical to the 1-worker
+//!   profile);
 //! * **Streaming** — `StreamingDiscordMonitor`: append throughput and
 //!   per-append refresh latency at several chunk sizes, streaming the
 //!   second half of the fixture (caught-up profile asserted
@@ -59,7 +62,6 @@ use std::time::Instant;
 
 use egi_bench::fixture_ecg;
 use egi_core::{EnsembleConfig, EnsembleDetector, StreamingEnsembleDetector};
-use egi_discord::anytime::AnytimeStamp;
 use egi_discord::dist::WindowStats;
 use egi_discord::mass::{mass_self, MassPrecomputed, MassScratch};
 use egi_discord::mass_seg::MassBackend;
@@ -297,15 +299,17 @@ fn main() {
         ));
     }
 
-    // Anytime STAMP: convergence trajectory. Queries run in the seeded
-    // random order; at each budget we record cumulative query-processing
-    // wall-clock (snapshot clones excluded from the timer) and
-    // (post-hoc, against the finished profile) the fraction of entries
-    // already settled to final.
+    // Anytime STAMP: convergence trajectory of a monitor fed the whole
+    // fixture in one append. Queries run in the seeded random order; at
+    // each budget we record cumulative query-processing wall-clock
+    // (snapshot clones excluded from the timer) and (post-hoc, against
+    // the finished profile) the fraction of entries already settled to
+    // final.
     let anytime_seed = 0xA17u64;
     let settle_tol = 1e-6f64;
     let fractions = [0.05f64, 0.10, 0.25, 0.50, 1.00];
-    let mut driver = AnytimeStamp::with_seed(&series, m, exclusion, anytime_seed);
+    let mut driver = StreamingDiscordMonitor::with_seed(m, exclusion, anytime_seed);
+    driver.append(&series);
     let mut snapshots = Vec::new();
     let mut anytime_secs = 0.0;
     for &frac in &fractions {
@@ -343,8 +347,8 @@ fn main() {
         ));
     }
 
-    // Parallel STAMP: the anytime finish across worker counts, each run
-    // pinned bit-identical to the 1-worker profile.
+    // Parallel STAMP: the one-append monitor's finish across worker
+    // counts, each run pinned bit-identical to the 1-worker profile.
     let mut pstamp_rows = Vec::new();
     for threads in [1usize, 2, 4, 8] {
         let pool = rayon::ThreadPoolBuilder::new()
@@ -352,7 +356,11 @@ fn main() {
             .build()
             .unwrap();
         let (secs, mp) = seconds(|| {
-            pool.install(|| AnytimeStamp::with_seed(&series, m, exclusion, anytime_seed).finish())
+            pool.install(|| {
+                let mut monitor = StreamingDiscordMonitor::with_seed(m, exclusion, anytime_seed);
+                monitor.append(&series);
+                monitor.finish()
+            })
         });
         assert_eq!(
             mp.profile, fast_mp.profile,

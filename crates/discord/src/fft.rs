@@ -29,7 +29,6 @@
 //! spectrum.
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
 /// A complex number as a bare `(re, im)` pair.
@@ -286,136 +285,56 @@ impl RealFftPlan {
     }
 }
 
-/// Default capacity of each global plan cache (complex and real are
-/// bounded independently).
+/// A process-wide plan map, one shared `Arc` plan per transform size.
 ///
-/// Deliberately generous: plan sizes are powers of two, so a process
-/// that touches series from 2 points to 2⁶³ points still needs at most
-/// 63 distinct sizes per cache — in practice the bound only matters for
-/// pathological workloads that cycle through many sizes. Eviction is
-/// purely a memory bound, never a correctness concern: a re-built plan
-/// computes bit-identical tables (deterministic trigonometry), so
-/// transforms are unaffected by churn (pinned by
-/// `evicted_plans_rebuild_bit_identical`).
-pub const DEFAULT_PLAN_CACHE_CAPACITY: usize = 64;
+/// Unbounded on purpose: plan sizes are powers of two, so a `usize`
+/// admits at most 64 distinct complex sizes (63 real ones) and the map
+/// can never grow past that.
+type PlanCache<T> = Mutex<HashMap<usize, Arc<T>>>;
 
-static PLAN_CACHE_CAPACITY: AtomicUsize = AtomicUsize::new(DEFAULT_PLAN_CACHE_CAPACITY);
+static COMPLEX_PLANS: OnceLock<PlanCache<FftPlan>> = OnceLock::new();
+static REAL_PLANS: OnceLock<PlanCache<RealFftPlan>> = OnceLock::new();
 
-/// Sets the per-cache capacity bound (clamped to ≥ 1) for both plan
-/// caches; returns the previous value. Long-running services with
-/// unusual size diversity can lower it to bound memory; eviction never
-/// changes any transform result.
+/// Returns the cached plan for size `n`, building it on first request.
 ///
-/// Lowering the bound takes effect immediately: both caches are shrunk
-/// to the new capacity here (eviction otherwise only runs on the
-/// insert path, which a hit-only workload never reaches).
-pub fn set_plan_cache_capacity(capacity: usize) -> usize {
-    let capacity = capacity.max(1);
-    let previous = PLAN_CACHE_CAPACITY.swap(capacity, Ordering::Relaxed);
-    if let Some(cache) = COMPLEX_PLANS.get() {
-        lock_cache(cache).evict_to(capacity);
-    }
-    if let Some(cache) = REAL_PLANS.get() {
-        lock_cache(cache).evict_to(capacity);
-    }
-    previous
-}
-
-/// The current per-cache capacity bound.
-pub fn plan_cache_capacity() -> usize {
-    PLAN_CACHE_CAPACITY.load(Ordering::Relaxed)
-}
-
-/// An LRU-bounded plan map: each entry carries the tick of its last
-/// access; inserts beyond capacity evict the least-recently-used entry.
-/// Outstanding `Arc`s keep evicted plans alive, so eviction can never
-/// invalidate a plan mid-transform.
-struct PlanCache<T> {
-    entries: HashMap<usize, (Arc<T>, u64)>,
-    tick: u64,
-}
-
-impl<T> PlanCache<T> {
-    fn new() -> Self {
-        Self {
-            entries: HashMap::new(),
-            tick: 0,
-        }
-    }
-
-    fn get_or_insert_with(
-        &mut self,
-        n: usize,
-        capacity: usize,
-        build: impl FnOnce() -> T,
-    ) -> Arc<T> {
-        self.tick += 1;
-        let tick = self.tick;
-        if let Some((plan, last_used)) = self.entries.get_mut(&n) {
-            *last_used = tick;
-            egi_obs::counter!("egi_fft_plan_cache_hits_total").inc();
-            return Arc::clone(plan);
-        }
-        egi_obs::counter!("egi_fft_plan_cache_misses_total").inc();
-        let plan = Arc::new(build());
-        self.entries.insert(n, (Arc::clone(&plan), tick));
-        self.evict_to(capacity);
-        plan
-    }
-
-    /// Evicts least-recently-used entries until at most `capacity`
-    /// remain.
-    fn evict_to(&mut self, capacity: usize) {
-        while self.entries.len() > capacity {
-            let lru = self
-                .entries
-                .iter()
-                .min_by_key(|(_, (_, last_used))| *last_used)
-                .map(|(&size, _)| size)
-                .expect("cache over capacity is non-empty");
-            self.entries.remove(&lru);
-            egi_obs::counter!("egi_fft_plan_cache_evictions_total").inc();
-        }
-    }
-}
-
-static COMPLEX_PLANS: OnceLock<Mutex<PlanCache<FftPlan>>> = OnceLock::new();
-static REAL_PLANS: OnceLock<Mutex<PlanCache<RealFftPlan>>> = OnceLock::new();
-
-/// Locks a plan cache, recovering from poisoning: sizes are validated
-/// *before* the lock is taken, so a panic can never leave the map
-/// mid-mutation (`get_or_insert_with` inserts only after the plan
-/// builds successfully).
-fn lock_cache<T>(cache: &Mutex<PlanCache<T>>) -> std::sync::MutexGuard<'_, PlanCache<T>> {
-    cache
+/// The lock is recovered from poisoning: sizes are validated *before*
+/// it is taken and the map is written only after the plan builds, so a
+/// panic can never leave the map mid-mutation.
+fn cached<T>(cache: &OnceLock<PlanCache<T>>, n: usize, build: impl FnOnce() -> T) -> Arc<T> {
+    let mut plans = cache
+        .get_or_init(Default::default)
         .lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner)
+        .unwrap_or_else(std::sync::PoisonError::into_inner);
+    if let Some(plan) = plans.get(&n) {
+        egi_obs::counter!("egi_fft_plan_cache_hits_total").inc();
+        return Arc::clone(plan);
+    }
+    egi_obs::counter!("egi_fft_plan_cache_misses_total").inc();
+    let plan = Arc::new(build());
+    plans.insert(n, Arc::clone(&plan));
+    plan
 }
 
 /// The process-wide shared [`FftPlan`] for size `n`, built on first
-/// request and reused (by `Arc`) until it falls out of the LRU bound
-/// (see [`set_plan_cache_capacity`]).
+/// request and reused (by `Arc`) for the rest of the process.
 ///
 /// # Panics
 ///
 /// Panics if `n` is not a power of two.
 pub fn cached_plan(n: usize) -> Arc<FftPlan> {
     assert!(n.is_power_of_two(), "FFT size {n} not a power of two");
-    let cache = COMPLEX_PLANS.get_or_init(|| Mutex::new(PlanCache::new()));
-    lock_cache(cache).get_or_insert_with(n, plan_cache_capacity(), || FftPlan::new(n))
+    cached(&COMPLEX_PLANS, n, || FftPlan::new(n))
 }
 
 /// The process-wide shared [`RealFftPlan`] for size `n`, built on first
-/// request and reused (by `Arc`) until it falls out of the LRU bound
-/// (see [`set_plan_cache_capacity`]).
+/// request and reused (by `Arc`) for the rest of the process.
 ///
 /// # Panics
 ///
 /// Panics if `n < 2` or `n` is not a power of two.
 pub fn cached_real_plan(n: usize) -> Arc<RealFftPlan> {
     assert!(n >= 2 && n.is_power_of_two(), "real FFT size {n} invalid");
-    let cache = REAL_PLANS.get_or_init(|| Mutex::new(PlanCache::new()));
-    lock_cache(cache).get_or_insert_with(n, plan_cache_capacity(), || RealFftPlan::new(n))
+    cached(&REAL_PLANS, n, || RealFftPlan::new(n))
 }
 
 /// In-place FFT (`inverse = false`) or unscaled inverse FFT
@@ -668,20 +587,8 @@ mod tests {
         assert!((out[0] - 14.0).abs() < 1e-9);
     }
 
-    /// Serializes the tests that mutate the global capacity knob
-    /// against the tests that assert `Arc` identity on the global
-    /// caches: a concurrently lowered capacity could otherwise evict a
-    /// plan between two identity-checked lookups and flake the run.
-    fn capacity_test_guard() -> std::sync::MutexGuard<'static, ()> {
-        static GUARD: Mutex<()> = Mutex::new(());
-        GUARD
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-    }
-
     #[test]
     fn plan_cache_reuses_one_plan_per_size() {
-        let _guard = capacity_test_guard();
         let a = cached_real_plan(256);
         let b = cached_real_plan(256);
         assert!(Arc::ptr_eq(&a, &b), "same size must share one plan");
@@ -694,7 +601,6 @@ mod tests {
 
     #[test]
     fn plan_cache_is_share_safe_across_threads() {
-        let _guard = capacity_test_guard();
         let plans: Vec<Arc<RealFftPlan>> = std::thread::scope(|scope| {
             let handles: Vec<_> = (0..4)
                 .map(|_| scope.spawn(|| cached_real_plan(1024)))
@@ -707,85 +613,36 @@ mod tests {
     }
 
     #[test]
-    fn lru_evicts_least_recently_used() {
-        let mut cache: PlanCache<FftPlan> = PlanCache::new();
-        let capacity = 2;
-        let a = cache.get_or_insert_with(8, capacity, || FftPlan::new(8));
-        let _b = cache.get_or_insert_with(16, capacity, || FftPlan::new(16));
-        // Touch 8 so 16 becomes the LRU entry, then insert a third size.
-        let a2 = cache.get_or_insert_with(8, capacity, || FftPlan::new(8));
-        assert!(Arc::ptr_eq(&a, &a2), "hit must return the cached plan");
-        let _c = cache.get_or_insert_with(32, capacity, || FftPlan::new(32));
-        assert_eq!(cache.entries.len(), 2);
-        assert!(cache.entries.contains_key(&8), "recently-used kept");
-        assert!(cache.entries.contains_key(&32), "new entry kept");
-        assert!(!cache.entries.contains_key(&16), "LRU entry evicted");
-        // The evicted size rebuilds as a fresh allocation on next request.
-        let b2 = cache.get_or_insert_with(16, capacity, || FftPlan::new(16));
-        assert_eq!(b2.len(), 16);
+    fn plan_cache_counts_hits_and_misses() {
+        let count = |name| egi_obs::global().counter(name).get();
+        let hits = count("egi_fft_plan_cache_hits_total");
+        let misses = count("egi_fft_plan_cache_misses_total");
+        let _ = cached_plan(128);
+        let _ = cached_plan(128);
+        // Concurrent tests share these counters but only ever add to
+        // them, and a second lookup of one size is always a hit.
+        let new_hits = count("egi_fft_plan_cache_hits_total") - hits;
+        let new_misses = count("egi_fft_plan_cache_misses_total") - misses;
+        assert!(new_hits >= 1, "the repeat lookup must hit");
+        assert!(new_hits + new_misses >= 2, "both lookups are counted");
     }
 
     #[test]
-    fn evicted_plans_rebuild_bit_identical() {
-        // Run a transform on a cached plan, churn the cache past its
-        // bound so the plan is evicted and rebuilt, and re-run: every
-        // output bit must match (plan construction is deterministic).
+    fn plans_built_twice_give_bit_identical_output() {
+        // Plan construction is deterministic: an independently built
+        // plan of the cached size transforms to the same bits.
         let signal: Vec<f64> = (0..256)
             .map(|i| (i as f64 * 0.37).sin() * 2.5 - 0.4)
             .collect();
-        let mut cache: PlanCache<RealFftPlan> = PlanCache::new();
-        let capacity = 2;
-        let plan = cache.get_or_insert_with(256, capacity, || RealFftPlan::new(256));
-        let (mut spec_before, mut scratch) = (Vec::new(), Vec::new());
-        plan.forward_into(&signal, &mut spec_before, &mut scratch);
-        // Churn: two other sizes push 256 out of the bounded cache.
-        let _ = cache.get_or_insert_with(512, capacity, || RealFftPlan::new(512));
-        let _ = cache.get_or_insert_with(1024, capacity, || RealFftPlan::new(1024));
-        assert!(!cache.entries.contains_key(&256), "256 must be evicted");
-        let rebuilt = cache.get_or_insert_with(256, capacity, || RealFftPlan::new(256));
-        assert!(
-            !Arc::ptr_eq(&plan, &rebuilt),
-            "rebuilt plan is a fresh allocation"
-        );
-        let mut spec_after = Vec::new();
-        rebuilt.forward_into(&signal, &mut spec_after, &mut scratch);
-        assert_eq!(spec_before, spec_after, "eviction must not change bits");
-    }
-
-    #[test]
-    fn capacity_knob_clamps_and_returns_previous() {
-        let _guard = capacity_test_guard();
-        let initial = plan_cache_capacity();
-        assert!(initial >= 1);
-        let prev = set_plan_cache_capacity(0); // clamped to 1
-        assert_eq!(prev, initial);
-        assert_eq!(plan_cache_capacity(), 1);
-        set_plan_cache_capacity(initial);
-        assert_eq!(plan_cache_capacity(), initial);
-    }
-
-    #[test]
-    fn lowering_capacity_evicts_populated_caches_immediately() {
-        let _guard = capacity_test_guard();
-        let initial = plan_cache_capacity();
-        // Ensure the global complex cache holds at least two sizes.
-        let _a = cached_plan(4);
-        let _b = cached_plan(8);
-        set_plan_cache_capacity(1);
-        let complex_len = lock_cache(COMPLEX_PLANS.get().expect("populated above"))
-            .entries
-            .len();
-        let real_len = REAL_PLANS
-            .get()
-            .map(|c| lock_cache(c).entries.len())
-            .unwrap_or(0);
-        set_plan_cache_capacity(initial);
-        // The shrink must happen inside the setter, not on the next
-        // insert — a hit-only workload never reaches the insert path.
-        assert_eq!(complex_len, 1, "complex cache shrunk immediately");
-        assert!(real_len <= 1, "real cache shrunk immediately");
-        // Evicted sizes rebuild transparently.
-        assert_eq!(cached_plan(4).len(), 4);
+        let (mut cached_spec, mut fresh_spec, mut scratch) = (Vec::new(), Vec::new(), Vec::new());
+        cached_real_plan(256).forward_into(&signal, &mut cached_spec, &mut scratch);
+        RealFftPlan::new(256).forward_into(&signal, &mut fresh_spec, &mut scratch);
+        assert_eq!(cached_spec, fresh_spec);
+        let mut cached_buf: Vec<Complex> = signal.iter().map(|&x| (x, -x)).collect();
+        let mut fresh_buf = cached_buf.clone();
+        cached_plan(256).forward(&mut cached_buf);
+        FftPlan::new(256).forward(&mut fresh_buf);
+        assert_eq!(cached_buf, fresh_buf);
     }
 
     #[test]

@@ -10,9 +10,9 @@
 
 use egi_sax::{BreakpointTable, SaxConfig};
 
-use crate::anytime::pseudo_random_order;
 use crate::dist::WindowStats;
 use crate::profile::Discord;
+use crate::streaming::pseudo_random_order;
 
 /// Early-abandoning z-normalized distance between windows `i` and `j`.
 /// Returns `None` as soon as the distance provably reaches `best` —

@@ -27,20 +27,18 @@
 //!   (bit-deterministic for every thread count); the implementation the
 //!   paper benchmarks against (Fig. 8).
 //! * [`mod@stamp`] — STAMP \[21\]: MASS-per-query matrix profile, running on
-//!   the shared spectrum. Batch STAMP and every driver's `finish` share
+//!   the shared spectrum. Batch STAMP and the monitor's `finish` share
 //!   one query fold, which fans out over the current rayon pool's
 //!   workers; a one-worker pool is the serial run.
-//! * [`anytime`] — [`AnytimeStamp`]: STAMP's anytime property as a
-//!   first-class API — seeded random query order, deadline-style
-//!   stepping (query budgets, wall-clock [`anytime::Deadline`]s) with
-//!   monotonically converging snapshots; finished profiles are
-//!   bit-identical to [`stamp()`](stamp::stamp) for every seed,
-//!   permutation, and worker count.
-//! * [`streaming`] — [`StreamingDiscordMonitor`]: online
-//!   (append-to-series) discord monitoring — ingest points, refresh the
-//!   profile under a hard latency budget, answer "best discords so
+//! * [`streaming`] — [`StreamingDiscordMonitor`]: the crate's one
+//!   anytime STAMP driver. Online (append-to-series) discord
+//!   monitoring — ingest points, refresh the profile under a hard
+//!   latency budget (query budgets or wall-clock
+//!   [`Deadline`](egi_tskit::Deadline)s), answer "best discords so
 //!   far"; finished profiles are bit-identical to batch STAMP for every
-//!   append schedule.
+//!   seed, append schedule, and worker count. Appending a whole series
+//!   once and stepping it is classic anytime STAMP: seeded random query
+//!   order, monotonically converging snapshots.
 //! * [`hotsax`] — the original HOTSAX discord search \[9\] with SAX-bucket
 //!   outer-loop ordering and early abandoning.
 //! * [`detector`] — [`DiscordDetector`]: the "Discord" baseline of the
@@ -61,19 +59,17 @@
 //!
 //! # The anytime-convergence guarantee
 //!
-//! Partial profiles from [`AnytimeStamp`] and
-//! [`StreamingDiscordMonitor`] tighten pointwise-monotonically as
-//! queries are processed and are always an upper bound on the batch
-//! profile; run to completion, they land bit-exactly on
-//! [`stamp()`](stamp::stamp)'s output. See [`anytime`] and
-//! [`streaming`] for the fine print (and the one FFT-round-off caveat
-//! at a streaming catch-up transition).
+//! Partial profiles from [`StreamingDiscordMonitor`] tighten
+//! pointwise-monotonically as queries are processed and are always an
+//! upper bound on the batch profile; run to completion, they land
+//! bit-exactly on [`stamp()`](stamp::stamp)'s output. See [`streaming`]
+//! for the fine print (and the one FFT-round-off caveat at a streaming
+//! catch-up transition).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
-pub mod anytime;
 pub mod brute;
 pub mod detector;
 pub mod dist;
@@ -87,7 +83,6 @@ pub mod stamp;
 pub mod stomp;
 pub mod streaming;
 
-pub use anytime::{AnytimeStamp, Deadline};
 pub use detector::{DiscordConfig, DiscordDetector};
 pub use fft::{FftPlan, RealFftPlan};
 pub use hotsax::{hotsax_discord, hotsax_discords};

@@ -48,8 +48,7 @@
 //!   (`tests/segmented_proptests.rs`).
 //!
 //! Select the backend on construction:
-//! [`StreamingDiscordMonitor::with_backend`](crate::streaming::StreamingDiscordMonitor::with_backend),
-//! [`AnytimeStamp::with_backend`](crate::anytime::AnytimeStamp::with_backend),
+//! [`StreamingDiscordMonitor::with_backend`](crate::streaming::StreamingDiscordMonitor::with_backend)
 //! or [`stamp_with_backend`](crate::stamp::stamp_with_backend).
 //!
 //! # Rolling refresh (MPX-style centered covariance)
@@ -124,7 +123,7 @@ pub const DEFAULT_BLOCK_SIZE: usize = 4096;
 /// caller streams between appends.
 pub const MAX_ROLL_CHAIN: usize = 4096;
 
-/// Which MASS kernel a driver (streaming monitor, anytime STAMP) runs
+/// Which MASS kernel a driver (batch STAMP, the streaming monitor) runs
 /// on — the crate's versioned parity contract. See the
 /// [module docs](self).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -728,7 +727,7 @@ pub fn sliding_dot_products_segmented(query: &[f64], series: &[f64]) -> Vec<f64>
     out
 }
 
-/// Backend dispatch for the drivers (streaming monitor, anytime STAMP):
+/// Backend dispatch for the drivers (batch STAMP, the streaming monitor):
 /// one engine value, two kernels, selected by [`MassBackend`] at
 /// construction. The exact arm forwards verbatim to [`MassPrecomputed`]
 /// so every bitwise contract is untouched.

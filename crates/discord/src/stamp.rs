@@ -71,7 +71,7 @@ pub fn stamp_with_backend(
 
 /// Folds the distance profile of every query in `queries` into
 /// `profile` / `index` — the one query loop behind batch STAMP and the
-/// `finish` of every anytime and streaming driver.
+/// streaming monitor's `finish`.
 ///
 /// On the exact engine, with more than one rayon worker and more than
 /// one query, the queries are split into one chunk per worker; each
@@ -151,11 +151,11 @@ pub fn stamp_per_query_fft(series: &[f64], m: usize, exclusion: usize) -> Matrix
 /// The `(distance, index)` tie-break matters here: with a strict `<`
 /// fold, the index vector would depend on the order queries are
 /// processed in (ties keep whichever query arrived first) — breaking
-/// the anytime STAMP contract and disagreeing with STOMP on exact ties.
-/// The lexicographic fold is order-independent, so STAMP in any query
+/// the monitor's seed-independence and disagreeing with STOMP on exact
+/// ties. The lexicographic fold is order-independent, so STAMP in any query
 /// permutation and at any worker count lands on the same index vector.
-/// Called by [`fold_queries`] and by the single-query `step`s of the
-/// anytime and streaming drivers.
+/// Called by [`fold_queries`] and by the streaming monitor's
+/// single-query `step`.
 pub(crate) fn update_from_profile(
     q: usize,
     dp: &[f64],

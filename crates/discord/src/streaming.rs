@@ -89,10 +89,52 @@
 //! **callers should batch evictions**: the re-transform amortizes to
 //! `O((S log S)/c)` per retired point.
 //!
+//! # Anytime STAMP
+//!
+//! The monitor is also the crate's batch anytime STAMP driver: append
+//! the whole series once, then step it with the [`StreamSession`]
+//! drivers (`run_for`, `run_until` with a wall-clock [`Deadline`],
+//! `run_for_duration`), read [`snapshot`](StreamingDiscordMonitor::snapshot)
+//! whenever a partial answer is wanted, and
+//! [`finish`](StreamingDiscordMonitor::finish) to land bit-exactly on
+//! [`stamp()`](crate::stamp::stamp). With one append there is no carry
+//! and no re-run backlog: every query runs once, on the exact backend
+//! in a seeded pseudo-random order, so the partial profile converges
+//! uniformly across the series instead of front to back (the classic
+//! STAMP recommendation). The deadline is checked before each query, so a
+//! wall-clock budget is overshot by at most one query's work and an
+//! expired one runs nothing.
+//!
+//! The seed picks the order, never the result. Each epoch's shuffle is
+//! salted with the epoch count, so even the first epoch does not visit
+//! queries in the unsalted shuffle of the seed; only partial snapshots
+//! depend on the order.
+//!
+//! ```
+//! use std::time::Duration;
+//! use egi_discord::streaming::StreamingDiscordMonitor;
+//! use egi_tskit::{Deadline, StreamSession};
+//!
+//! let series: Vec<f64> = (0..200).map(|i| (i as f64 * 0.2).sin()).collect();
+//! let mut monitor = StreamingDiscordMonitor::new(16);
+//! monitor.append(&series);
+//!
+//! // Spend at most 2 ms (or 50 queries) tightening the profile…
+//! monitor.run_until(Deadline::after(Duration::from_millis(2)).with_query_cap(50));
+//! let partial = monitor.snapshot(); // valid upper bound at any point
+//!
+//! // …then run to completion: bit-identical to batch `stamp()`.
+//! let finished = monitor.finish();
+//! assert_eq!(finished.profile, egi_discord::stamp(&series, 16).profile);
+//! assert!(partial.profile.iter().zip(&finished.profile).all(|(p, f)| p >= f));
+//! ```
+//!
+//! [`Deadline`]: egi_tskit::Deadline
+//!
 //! # Convergence contract
 //!
 //! * Within an epoch (between appends), snapshots tighten
-//!   monotonically, exactly as [`crate::anytime`].
+//!   monotonically.
 //! * Across an append, the snapshot is unchanged (new entries start at
 //!   `+∞`) and then resumes tightening.
 //! * When the monitor catches up ([`StreamingDiscordMonitor::is_current`]),
@@ -165,7 +207,6 @@ use egi_tskit::session::StreamClock;
 /// generically (e.g. from an `egi-serve` fleet).
 pub use egi_tskit::session::StreamSession;
 
-use crate::anytime::pseudo_random_order;
 use crate::mass::MassPrecomputed;
 use crate::mass_seg::{EngineScratch, MassBackend, MassEngine, SegmentedMass, MAX_ROLL_CHAIN};
 use crate::profile::{merge_min_into, Discord, MatrixProfile};
@@ -175,6 +216,29 @@ use crate::stomp::default_exclusion;
 /// Seed used by [`StreamingDiscordMonitor::new`] when the caller does
 /// not pick one.
 pub const DEFAULT_MONITOR_SEED: u64 = 0x5EED_CAFE;
+
+/// Deterministic pseudo-random permutation of `0..n` (SplitMix64-keyed
+/// Fisher–Yates).
+///
+/// Used for the monitor's per-epoch query order and for HOTSAX's
+/// inner-loop visit order, where the literature prescribes "random" but
+/// reproducibility demands a seeded generator.
+pub(crate) fn pseudo_random_order(n: usize, seed: u64) -> Vec<usize> {
+    let mut order: Vec<usize> = (0..n).collect();
+    let mut state = seed.wrapping_add(0x9e3779b97f4a7c15);
+    let mut next = || {
+        state = state.wrapping_add(0x9e3779b97f4a7c15);
+        let mut z = state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58476d1ce4e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d049bb133111eb);
+        z ^ (z >> 31)
+    };
+    for i in (1..n).rev() {
+        let j = (next() % (i as u64 + 1)) as usize;
+        order.swap(i, j);
+    }
+    order
+}
 
 /// An online discord monitor over an append-only time series.
 ///
@@ -263,6 +327,24 @@ impl StreamingDiscordMonitor {
     /// Builds an empty monitor with an explicit exclusion half-width
     /// and query-order seed. The seed affects only the order pending
     /// queries are processed in, never any finished profile.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use egi_discord::streaming::StreamingDiscordMonitor;
+    /// use egi_tskit::StreamSession;
+    ///
+    /// let series: Vec<f64> = (0..120).map(|i| (i as f64 * 0.3).sin()).collect();
+    /// let run = |seed| {
+    ///     let mut monitor = StreamingDiscordMonitor::with_seed(8, 4, seed);
+    ///     monitor.append(&series);
+    ///     monitor.run_for(10); // a partial pass in the seed's order…
+    ///     monitor.finish() // …then the same finished profile for any seed
+    /// };
+    /// let (a, b) = (run(1), run(2));
+    /// assert_eq!(a.profile, b.profile);
+    /// assert_eq!(a.index, b.index);
+    /// ```
     pub fn with_seed(m: usize, exclusion: usize, seed: u64) -> Self {
         Self::with_backend(m, exclusion, seed, MassBackend::Exact)
     }
@@ -707,9 +789,9 @@ impl StreamingDiscordMonitor {
     ///
     /// On the exact backend the pending queries fan out over the
     /// current rayon pool's workers (per-worker partial folds merged
-    /// under the shared rule, as in
-    /// [`crate::anytime::AnytimeStamp::finish`]); the segmented backend
-    /// folds them in order on the rolled path. Session counters advance
+    /// under the shared `(distance, index)` rule, exactly as batch
+    /// STAMP); the segmented backend folds them in order on the rolled
+    /// path. Session counters advance
     /// exactly as if every query had been [`step`](Self::step)ped.
     pub fn finish(&mut self) -> MatrixProfile {
         let Some(mass) = &self.mass else {
@@ -746,6 +828,26 @@ const CKPT_ENGINE_VERSION: u32 = 1;
 
 fn corrupt(what: impl Into<String>) -> CheckpointError {
     CheckpointError::Corrupt(what.into())
+}
+
+/// Rejects a series with a NaN or infinite point: every window touching
+/// it would z-normalize to NaN and poison the fold.
+fn check_finite(what: &str, values: &[f64]) -> Result<(), CheckpointError> {
+    if values.iter().all(|v| v.is_finite()) {
+        Ok(())
+    } else {
+        Err(corrupt(format!("{what} contains non-finite values")))
+    }
+}
+
+/// Rejects profile distances that are NaN or negative; `+∞` is the
+/// legitimate "no neighbor yet" entry.
+fn check_distances(what: &str, profile: &[f64]) -> Result<(), CheckpointError> {
+    if profile.iter().all(|&d| d >= 0.0) {
+        Ok(())
+    } else {
+        Err(corrupt(format!("{what} holds a NaN or negative distance")))
+    }
 }
 
 /// Persistence for the monitor (see [`Checkpoint`] for the container
@@ -846,6 +948,11 @@ impl Checkpoint for StreamingDiscordMonitor {
         if m == 0 {
             return Err(corrupt("window m must be positive"));
         }
+        check_finite("warm-up buffer", &warmup)?;
+        check_distances("fold", &fold_profile)?;
+        if let Some((cp, _)) = &carry {
+            check_distances("carry", cp)?;
+        }
         if let Some(n) = retention {
             // retain_last rejects n < m, so no saved monitor holds one;
             // honoring it would panic inside the next append's auto-trim.
@@ -880,6 +987,7 @@ impl Checkpoint for StreamingDiscordMonitor {
                     if series.len() < m {
                         return Err(corrupt("series shorter than the window"));
                     }
+                    check_finite("series", &series)?;
                     // A fresh build is bit-identical to the evolved
                     // engine after any append/evict schedule (the
                     // kernel's own contract), so the series is the
@@ -905,6 +1013,7 @@ impl Checkpoint for StreamingDiscordMonitor {
                     if head + m > grid.len() {
                         return Err(corrupt("fewer than m live points in the grid"));
                     }
+                    check_finite("segmented grid", &grid)?;
                     (
                         MassEngine::Segmented(SegmentedMass::restore(
                             grid, head, m, block, generation,
@@ -972,10 +1081,22 @@ impl Checkpoint for StreamingDiscordMonitor {
 
 #[cfg(test)]
 mod tests {
-    use std::time::Duration;
+    use std::time::{Duration, Instant};
+
+    use egi_tskit::checkpoint::{fnv64, list_sections};
+    use egi_tskit::Deadline;
 
     use super::*;
     use crate::stamp::stamp_with_exclusion;
+
+    /// Runs `f` on a rayon pool pinned to `threads` workers.
+    fn on_workers<R>(threads: usize, f: impl FnOnce() -> R) -> R {
+        rayon::ThreadPoolBuilder::new()
+            .num_threads(threads)
+            .build()
+            .unwrap()
+            .install(f)
+    }
 
     fn test_series(n: usize) -> Vec<f64> {
         (0..n)
@@ -1200,6 +1321,134 @@ mod tests {
         assert_eq!(monitor.processed(), 0);
     }
 
+    /// `run_until` checks the clock *before* each query, so an
+    /// already-expired deadline (a zero budget included) runs zero
+    /// queries — the structural half of the "never overshoots by more
+    /// than one query's work" guarantee.
+    #[test]
+    fn expired_deadline_runs_nothing() {
+        let series = test_series(150);
+        let mut monitor = StreamingDiscordMonitor::new(8);
+        monitor.append(&series);
+        assert_eq!(monitor.run_until(Deadline::at(Instant::now())), 0);
+        let past = Instant::now() - Duration::from_secs(1);
+        assert_eq!(monitor.run_until(Deadline::at(past)), 0);
+        assert_eq!(monitor.run_for_duration(Duration::ZERO), 0);
+        assert_eq!(monitor.processed(), 0);
+    }
+
+    /// The wall-clock half: overshoot beyond the deadline is bounded by
+    /// one query's work. The load-bearing asserts are structural (some
+    /// progress was made; the run stopped on the clock, far short of
+    /// completion — thousands of queries short, so no scheduler stall
+    /// can fake it). The elapsed-time bound uses a very generous
+    /// absolute slack: it exists to catch "run_until ignores the clock
+    /// entirely" regressions (which would run ~seconds), not to measure
+    /// scheduling jitter, so CI noise cannot flake it.
+    #[test]
+    fn run_until_overshoot_is_bounded_by_one_query() {
+        let series: Vec<f64> = (0..6000)
+            .map(|i| (i as f64 * 0.11).sin() + 0.3 * (i as f64 * 0.013).cos())
+            .collect();
+        let mut monitor = StreamingDiscordMonitor::new(64);
+        monitor.append(&series);
+        // Warm up caches/allocations so the timed region is steady-state.
+        assert_eq!(monitor.run_for(32), 32);
+        let budget = Duration::from_millis(10);
+        let start = Instant::now();
+        let ran = monitor.run_until(Deadline::after(budget));
+        let elapsed = start.elapsed();
+        assert!(ran > 0, "a 10ms budget must admit at least one query");
+        assert!(
+            !monitor.is_current(),
+            "the run must have been stopped by the clock, not completion \
+             ({} of {} queries processed)",
+            monitor.processed(),
+            monitor.window_count()
+        );
+        let slack = Duration::from_millis(250);
+        assert!(
+            elapsed <= budget + slack,
+            "overshoot: ran {ran} queries in {elapsed:?} against a {budget:?} budget"
+        );
+    }
+
+    #[test]
+    fn deadline_query_budget_matches_run_for() {
+        let series = test_series(160);
+        let mut a = StreamingDiscordMonitor::with_seed(8, 4, 5);
+        let mut b = StreamingDiscordMonitor::with_seed(8, 4, 5);
+        a.append(&series);
+        b.append(&series);
+        a.run_for(23);
+        b.run_until(Deadline::queries(23));
+        assert_eq!(a.processed(), b.processed());
+        assert_eq!(a.snapshot().profile, b.snapshot().profile);
+        // Unbounded deadline = run to completion.
+        b.run_until(Deadline::unbounded());
+        assert!(b.is_current());
+        // Query cap composes with (not yet expired) wall-clock bounds.
+        let far = Deadline::at(Instant::now() + Duration::from_secs(3600)).with_query_cap(7);
+        assert_eq!(a.run_until(far), 7);
+    }
+
+    #[test]
+    fn pseudo_random_order_is_a_permutation() {
+        let order = pseudo_random_order(100, 42);
+        let mut sorted = order.clone();
+        sorted.sort_unstable();
+        assert_eq!(sorted, (0..100).collect::<Vec<_>>());
+        assert_ne!(order, (0..100).collect::<Vec<_>>());
+        // Seeded: same seed, same order; different seed, different order.
+        assert_eq!(order, pseudo_random_order(100, 42));
+        assert_ne!(order, pseudo_random_order(100, 43));
+    }
+
+    #[test]
+    fn pseudo_random_order_handles_degenerate_lengths() {
+        for seed in [0u64, 42, u64::MAX] {
+            assert!(pseudo_random_order(0, seed).is_empty());
+            assert_eq!(pseudo_random_order(1, seed), vec![0]);
+        }
+    }
+
+    #[test]
+    fn exact_ties_are_seed_independent() {
+        // Flat plateaus tie at exactly 0.0; the index vector must not
+        // depend on which query reached them first.
+        let mut series = Vec::new();
+        series.extend(std::iter::repeat_n(1.0, 8));
+        series.extend((0..8).map(|i| (i as f64 * 0.9).sin()));
+        series.extend(std::iter::repeat_n(5.0, 8));
+        series.extend((0..8).map(|i| (i as f64 * 1.3).cos()));
+        series.extend(std::iter::repeat_n(2.0, 8));
+        let m = 4;
+        let exc = m / 2;
+        let reference = stamp_with_exclusion(&series, m, exc);
+        for seed in 0..6u64 {
+            let mut monitor = StreamingDiscordMonitor::with_seed(m, exc, seed);
+            monitor.append(&series);
+            // Step query by query, so the fold runs in the seed's order.
+            monitor.run_for(usize::MAX);
+            let finished = monitor.finish();
+            assert_eq!(finished.index, reference.index, "seed {seed}");
+            assert_eq!(finished.profile, reference.profile, "seed {seed}");
+        }
+    }
+
+    #[test]
+    fn single_window_series_is_immediately_done_after_one_step() {
+        let mut monitor = StreamingDiscordMonitor::with_exclusion(3, 1);
+        monitor.append(&[1.0, 2.0, 3.0]);
+        assert_eq!(monitor.window_count(), 1);
+        assert!(monitor.step());
+        assert!(monitor.is_current());
+        assert!(!monitor.step());
+        let mp = on_workers(4, || monitor.finish());
+        assert!(mp.profile[0].is_infinite());
+        assert_eq!(mp.index[0], usize::MAX);
+    }
+
     #[test]
     fn seed_changes_order_not_result() {
         let series = test_series(170);
@@ -1219,9 +1468,10 @@ mod tests {
     }
 
     #[test]
-    fn single_append_equals_anytime_stamp() {
-        // With one append and no interleaving, the monitor is just
-        // anytime STAMP over the batch series.
+    fn whole_series_append_then_finish_is_batch_stamp() {
+        // One append of the whole series followed by a bulk finish
+        // (no stepping, no carry, no re-runs) lands bit-exactly on
+        // batch STAMP with the same exclusion.
         let series = test_series(130);
         let m = 6;
         let exc = 3;
@@ -1231,6 +1481,148 @@ mod tests {
         let reference = stamp_with_exclusion(&series, m, exc);
         assert_eq!(finished.profile, reference.profile);
         assert_eq!(finished.index, reference.index);
+    }
+
+    // ------------------------------------------------------------------
+    // Batch anytime STAMP: one whole-series append, then budgeted
+    // stepping. No carry and no re-runs, so every query runs once.
+
+    #[test]
+    fn finished_run_is_bit_identical_to_stamp() {
+        let series = test_series(180);
+        let m = 9;
+        let exc = m / 2;
+        let reference = stamp_with_exclusion(&series, m, exc);
+        for seed in [0u64, 1, 0xDEADBEEF] {
+            let mut monitor = StreamingDiscordMonitor::with_seed(m, exc, seed);
+            monitor.append(&series);
+            monitor.run_for(13);
+            let finished = monitor.finish();
+            assert_eq!(finished.profile, reference.profile, "seed {seed}");
+            assert_eq!(finished.index, reference.index, "seed {seed}");
+        }
+    }
+
+    #[test]
+    fn interleaved_stepping_reaches_the_same_profile() {
+        let series = test_series(150);
+        let m = 8;
+        let exc = m / 2;
+        let reference = stamp_with_exclusion(&series, m, exc);
+        let mut monitor = StreamingDiscordMonitor::with_seed(m, exc, 7);
+        monitor.append(&series);
+        assert!(monitor.step());
+        assert_eq!(monitor.processed(), 1);
+        monitor.run_for(10);
+        assert_eq!(monitor.processed(), 11);
+        let finished = on_workers(4, || monitor.finish());
+        assert!(monitor.is_current());
+        assert!(!monitor.step());
+        assert_eq!(finished.profile, reference.profile);
+        assert_eq!(finished.index, reference.index);
+    }
+
+    #[test]
+    fn single_append_finish_deterministic_across_worker_counts() {
+        let series = test_series(220);
+        let m = 10;
+        let exc = m / 2;
+        let reference = stamp_with_exclusion(&series, m, exc);
+        for threads in [1usize, 2, 3, 8] {
+            let mut monitor = StreamingDiscordMonitor::with_exclusion(m, exc);
+            monitor.append(&series);
+            let finished = on_workers(threads, || monitor.finish());
+            assert_eq!(finished.profile, reference.profile, "{threads} threads");
+            assert_eq!(finished.index, reference.index, "{threads} threads");
+        }
+    }
+
+    /// The acceptance contract against STOMP: on deterministic
+    /// fixtures the finished profile agrees with STOMP to 1e-6 (the
+    /// permutation proptest uses 1e-5 because adversarial random series
+    /// amplify FFT-vs-incremental error through the sqrt near zero
+    /// distances).
+    #[test]
+    fn finished_profile_matches_stomp_to_1e6() {
+        let series = test_series(250);
+        for &m in &[6usize, 12] {
+            let mut monitor = StreamingDiscordMonitor::new(m);
+            monitor.append(&series);
+            let finished = monitor.finish();
+            let stomp = crate::stomp::stomp_with_exclusion(&series, m, m / 2);
+            for i in 0..finished.len() {
+                assert!(
+                    (finished.profile[i] - stomp.profile[i]).abs() < 1e-6,
+                    "m={m} i={i}: {} vs {}",
+                    finished.profile[i],
+                    stomp.profile[i]
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn snapshots_converge_monotonically() {
+        // With no carry, every entry is bitwise monotone from the first
+        // query to the last.
+        let series = test_series(160);
+        let mut monitor = StreamingDiscordMonitor::new(8);
+        monitor.append(&series);
+        let mut previous = monitor.snapshot();
+        while monitor.run_for(17) > 0 {
+            let current = monitor.snapshot();
+            for i in 0..current.len() {
+                assert!(
+                    current.profile[i] <= previous.profile[i],
+                    "entry {i} rose: {} -> {}",
+                    previous.profile[i],
+                    current.profile[i]
+                );
+            }
+            previous = current;
+        }
+        assert!(monitor.is_current());
+    }
+
+    #[test]
+    fn partial_profile_is_upper_bound_on_final() {
+        let series = test_series(140);
+        let m = 7;
+        let exc = m / 2;
+        let reference = stamp_with_exclusion(&series, m, exc);
+        let mut monitor = StreamingDiscordMonitor::with_seed(m, exc, 3);
+        monitor.append(&series);
+        monitor.run_for(monitor.window_count() / 4);
+        let partial = monitor.snapshot();
+        for i in 0..partial.len() {
+            assert!(
+                partial.profile[i] >= reference.profile[i] - 1e-12,
+                "entry {i}"
+            );
+        }
+    }
+
+    #[test]
+    fn single_append_runs_every_query_once_in_seeded_order() {
+        let series = test_series(200);
+        let m = 8;
+        let n = series.len() - m + 1;
+        let prefix = |seed| {
+            let mut monitor = StreamingDiscordMonitor::with_seed(m, m / 2, seed);
+            monitor.append(&series);
+            monitor.run_for(n / 10);
+            let prefix = monitor.done.clone();
+            monitor.run_for(usize::MAX);
+            let mut all = monitor.done.clone();
+            all.sort_unstable();
+            assert_eq!(all, (0..n).collect::<Vec<_>>(), "seed {seed}");
+            prefix
+        };
+        let a = prefix(1);
+        assert_eq!(a.len(), n / 10);
+        // Spread over the series, not front to back.
+        assert!(a.iter().any(|&q| q >= n / 2), "{a:?}");
+        assert_ne!(a, prefix(2), "the seed picks the order");
     }
 
     #[test]
@@ -1517,16 +1909,42 @@ mod tests {
         );
         a.append(&series);
         b.append(&series);
-        let par = rayon::ThreadPoolBuilder::new()
-            .num_threads(4)
-            .build()
-            .unwrap()
-            .install(|| a.finish());
+        let par = on_workers(4, || a.finish());
         while b.step() {}
         let seq = b.snapshot();
         // Identical (not merely toleranced): same sequential rolled path.
         assert_eq!(par.profile, seq.profile);
         assert_eq!(par.index, seq.index);
+    }
+
+    #[test]
+    fn segmented_backend_finishes_within_tolerance_of_exact() {
+        let series = test_series(260);
+        let m = 10;
+        let exc = m / 2;
+        let reference = stamp_with_exclusion(&series, m, exc);
+        let mut monitor = StreamingDiscordMonitor::with_backend(m, exc, 0, MassBackend::Segmented);
+        monitor.append(&series);
+        assert_eq!(monitor.backend(), MassBackend::Segmented);
+        // Interleave stepping modes; a multi-worker finish must keep the
+        // in-order rolled path and still complete.
+        monitor.run_for(40);
+        let partial = monitor.snapshot();
+        let finished = on_workers(4, || monitor.finish());
+        assert!(monitor.is_current());
+        for i in 0..finished.len() {
+            assert!(
+                (finished.profile[i] - reference.profile[i]).abs() <= 1e-9,
+                "i={i}: {} vs {}",
+                finished.profile[i],
+                reference.profile[i]
+            );
+            // The anytime property holds on the segmented backend too.
+            assert!(
+                partial.profile[i] >= finished.profile[i] - 1e-12,
+                "entry {i}"
+            );
+        }
     }
 
     #[test]
@@ -1734,6 +2152,97 @@ mod tests {
         let target = flipped.len() / 2;
         flipped[target] ^= 0x10;
         assert!(StreamingDiscordMonitor::from_checkpoint_bytes(&flipped).is_err());
+    }
+
+    /// Overwrites the first (or, with `last`, the final) occurrence of
+    /// `from`'s bytes in the payload of section `tag` with `to`, then
+    /// re-seals the section checksum, so only the loader's own
+    /// validation can notice the edit.
+    fn poison(bytes: &[u8], tag: &[u8; 4], from: f64, to: f64, last: bool) -> Vec<u8> {
+        let mut out = bytes.to_vec();
+        let section = list_sections(bytes)
+            .unwrap()
+            .into_iter()
+            .find(|s| s.tag == u32::from_le_bytes(*tag))
+            .expect("section present");
+        let payload = section.payload_start..section.payload_start + section.payload_len;
+        let needle = from.to_le_bytes();
+        let mut hits = out[payload.clone()]
+            .windows(8)
+            .enumerate()
+            .filter(|(_, w)| *w == needle)
+            .map(|(at, _)| at);
+        let at = if last { hits.next_back() } else { hits.next() }.expect("value present");
+        let at = payload.start + at;
+        out[at..at + 8].copy_from_slice(&to.to_le_bytes());
+        let sum = fnv64(&out[payload]).to_le_bytes();
+        out[section.end - 8..section.end].copy_from_slice(&sum);
+        out
+    }
+
+    fn assert_corrupt(bytes: &[u8], what: &str) {
+        assert!(
+            matches!(
+                StreamingDiscordMonitor::from_checkpoint_bytes(bytes),
+                Err(CheckpointError::Corrupt(_))
+            ),
+            "{what} must be rejected as corrupt"
+        );
+    }
+
+    #[test]
+    fn checkpoint_rejects_non_finite_values_behind_a_valid_checksum() {
+        let series = test_series(200);
+        let m = 16;
+        let bad = [f64::NAN, f64::INFINITY, f64::NEG_INFINITY];
+
+        // Warm-up buffer.
+        let mut warm = StreamingDiscordMonitor::new(m);
+        warm.append(&[1.0, 2.0, 3.0]);
+        let bytes = warm.checkpoint_bytes().unwrap();
+        for v in bad {
+            assert_corrupt(
+                &poison(&bytes, b"MON1", 2.0, v, false),
+                &format!("warm-up {v}"),
+            );
+        }
+
+        // The exact series and the segmented grid.
+        for backend in [MassBackend::Exact, MassBackend::Segmented] {
+            let mut monitor = StreamingDiscordMonitor::with_backend(m, m / 2, 3, backend);
+            monitor.append(&series);
+            monitor.run_for(30);
+            let bytes = monitor.checkpoint_bytes().unwrap();
+            for v in bad {
+                let edited = poison(&bytes, b"ENG1", series[57], v, false);
+                assert_corrupt(&edited, &format!("{backend:?} series {v}"));
+            }
+        }
+
+        // Fold and carry distances: NaN and negatives are corrupt, while
+        // +∞ is the legitimate "no neighbor yet" entry.
+        let mut monitor = StreamingDiscordMonitor::new(m);
+        monitor.append(&series[..150]);
+        monitor.run_for(usize::MAX);
+        monitor.append(&series[150..]);
+        monitor.run_for(20);
+        let first_finite = |p: &[f64]| *p.iter().find(|d| d.is_finite()).unwrap();
+        let folded = first_finite(&monitor.fold_profile);
+        let carried = first_finite(&monitor.carry.as_ref().expect("pre-append evidence").0);
+        let bytes = monitor.checkpoint_bytes().unwrap();
+        for (value, last, what) in [(folded, false, "fold"), (carried, true, "carry")] {
+            for v in [f64::NAN, -1.0, f64::NEG_INFINITY] {
+                assert_corrupt(
+                    &poison(&bytes, b"MON1", value, v, last),
+                    &format!("{what} {v}"),
+                );
+            }
+            let unreached = poison(&bytes, b"MON1", value, f64::INFINITY, last);
+            assert!(
+                StreamingDiscordMonitor::from_checkpoint_bytes(&unreached).is_ok(),
+                "{what}: +inf must load"
+            );
+        }
     }
 
     #[test]

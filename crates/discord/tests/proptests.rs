@@ -7,7 +7,6 @@
 
 #![forbid(unsafe_code)]
 
-use egi_discord::anytime::AnytimeStamp;
 use egi_discord::brute::brute_force;
 use egi_discord::dist::WindowStats;
 use egi_discord::mass::{mass_self, MassPrecomputed};
@@ -19,6 +18,14 @@ use proptest::prelude::*;
 
 fn series_strategy() -> impl Strategy<Value = Vec<f64>> {
     prop::collection::vec(-100.0f64..100.0, 40..120)
+}
+
+/// Anytime STAMP: a monitor that ingested the whole series in one
+/// append, with every query still pending.
+fn anytime(series: &[f64], m: usize, exc: usize, seed: u64) -> StreamingDiscordMonitor {
+    let mut monitor = StreamingDiscordMonitor::with_seed(m, exc, seed);
+    monitor.append(series);
+    monitor
 }
 
 proptest! {
@@ -130,10 +137,10 @@ proptest! {
         prop_assert_eq!(&single.index, &multi.index);
     }
 
-    /// Anytime STAMP, for *every* query permutation (seed), finishes on
-    /// a profile and index vector bit-identical to sequential STAMP —
-    /// and within 1e-5 of STOMP: the whole point of the shared
-    /// `(distance, index)` fold.
+    /// Anytime STAMP (the monitor after one whole-series append), for
+    /// *every* query permutation (seed), finishes on a profile and index
+    /// vector bit-identical to sequential STAMP — and within 1e-5 of
+    /// STOMP: the whole point of the shared `(distance, index)` fold.
     #[test]
     fn anytime_any_permutation_matches_stamp_and_stomp(
         series in series_strategy(),
@@ -143,7 +150,7 @@ proptest! {
         prop_assume!(series.len() >= 2 * m);
         let exc = m / 2;
         let reference = stamp_with_exclusion(&series, m, exc);
-        let finished = AnytimeStamp::with_seed(&series, m, exc, seed).finish();
+        let finished = anytime(&series, m, exc, seed).finish();
         prop_assert_eq!(&finished.profile, &reference.profile);
         prop_assert_eq!(&finished.index, &reference.index);
         let stomp = stomp_with_exclusion(&series, m, exc);
@@ -173,7 +180,7 @@ proptest! {
             .build()
             .unwrap()
             .install(|| stamp_with_exclusion(&series, m, exc));
-        let mut driver = AnytimeStamp::with_seed(&series, m, exc, seed);
+        let mut driver = anytime(&series, m, exc, seed);
         driver.run_for(driver.window_count() * prefix_pct / 100);
         let finished = rayon::ThreadPoolBuilder::new()
             .num_threads(threads)
@@ -197,7 +204,7 @@ proptest! {
         prop_assume!(series.len() >= 2 * m);
         let exc = m / 2;
         let reference = stamp_with_exclusion(&series, m, exc);
-        let mut driver = AnytimeStamp::with_seed(&series, m, exc, seed);
+        let mut driver = anytime(&series, m, exc, seed);
         let mut previous = driver.snapshot();
         while driver.run_for(chunk) > 0 {
             let current = driver.snapshot();

@@ -1,14 +1,16 @@
 //! Figure 8: computation time vs. time series length, ensemble grammar
-//! induction vs. STOMP (plus a 10%-budget anytime-STAMP column showing
-//! what a deadline-bounded partial matrix profile costs), on
-//! random-walk / ECG-like / EEG-like data.
+//! induction vs. STOMP (plus a 10%-budget anytime-STAMP column, run on
+//! the streaming discord monitor, showing what a deadline-bounded
+//! partial matrix profile costs), on random-walk / ECG-like / EEG-like
+//! data.
 
 use std::time::Instant;
 
 use egi_core::EnsembleDetector;
-use egi_discord::anytime::AnytimeStamp;
 use egi_discord::stomp;
+use egi_discord::StreamingDiscordMonitor;
 use egi_tskit::gen::{ecg_series, eeg_series, random_walk};
+use egi_tskit::StreamSession;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde::Serialize;
@@ -104,10 +106,11 @@ pub fn run_scalability(
             f64::NAN
         } else {
             let t0 = Instant::now();
-            let mut driver = AnytimeStamp::new(&series, window);
-            driver.run_for(driver.window_count().div_ceil(10));
+            let mut monitor = StreamingDiscordMonitor::new(window);
+            monitor.append(&series);
+            monitor.run_for(monitor.window_count().div_ceil(10));
             let secs = t0.elapsed().as_secs_f64();
-            std::hint::black_box(&driver.snapshot());
+            std::hint::black_box(&monitor.snapshot());
             secs
         };
         out.push(ScalabilityPoint {

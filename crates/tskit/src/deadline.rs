@@ -23,7 +23,7 @@ use std::time::{Duration, Instant};
 /// instant, a unit-of-work budget, or both.
 ///
 /// "Units" are whatever the driving loop processes between checks —
-/// MASS queries for `AnytimeStamp` / `StreamingDiscordMonitor`, member
+/// MASS queries for `StreamingDiscordMonitor`, member
 /// refreshes for `StreamingEnsembleDetector`. Drivers check the
 /// condition **before** each unit, so a wall-clock deadline is overshot
 /// by at most one unit's work and an already-expired deadline runs zero
